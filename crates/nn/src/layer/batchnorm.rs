@@ -194,8 +194,8 @@ impl BatchNorm2d {
                     dbeta += go;
                 }
             }
-            self.gamma.grad.data_mut()[ch] += dgamma as f32;
-            self.beta.grad.data_mut()[ch] += dbeta as f32;
+            self.gamma.grad_mut().data_mut()[ch] += dgamma as f32;
+            self.beta.grad_mut().data_mut()[ch] += dbeta as f32;
             let g = self.gamma.value.data()[ch];
             let inv_std = cache.inv_std[ch];
             let mean_dy = dbeta as f32 / n;

@@ -119,7 +119,7 @@ impl Linear {
         }
         // dW = dYᵀ · X, accumulated straight into the gradient buffer.
         gemm_ex(
-            self.weight.grad.data_mut(),
+            self.weight.grad_mut().data_mut(),
             grad_out.data(),
             input.data(),
             out,
@@ -130,7 +130,7 @@ impl Linear {
             true,
         );
         // db += Σ_batch dY
-        let bgrad = self.bias.grad.data_mut();
+        let bgrad = self.bias.grad_mut().data_mut();
         for row in grad_out.data().chunks(out) {
             for (g, &d) in bgrad.iter_mut().zip(row) {
                 *g += d;
@@ -190,10 +190,18 @@ mod tests {
             let fm = lin.forward(&x, false).unwrap().sum();
             lin.weight.value.data_mut()[probe] = orig;
             let numeric = (fp - fm) / (2.0 * eps);
-            assert!((numeric - lin.weight.grad.data()[probe]).abs() < 1e-2 * (1.0 + numeric.abs()));
+            assert!(
+                (numeric - lin.weight.grad_mut().data()[probe]).abs()
+                    < 1e-2 * (1.0 + numeric.abs())
+            );
         }
         // Bias gradient over a batch of 5 with unit output grads is 5.
-        assert!(lin.bias.grad.data().iter().all(|&g| (g - 5.0).abs() < 1e-4));
+        assert!(lin
+            .bias
+            .grad_mut()
+            .data()
+            .iter()
+            .all(|&g| (g - 5.0).abs() < 1e-4));
     }
 
     #[test]

@@ -434,6 +434,18 @@ impl Network {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
+    /// Releases every gradient accumulator (see [`Param`]).
+    pub fn drop_grads(&mut self) {
+        self.visit_params(&mut |p| p.drop_grad());
+    }
+
+    /// Gradient floats currently allocated across all parameters.
+    pub fn grad_len(&mut self) -> usize {
+        let mut count = 0;
+        self.visit_params(&mut |p| count += p.grad_len());
+        count
+    }
+
     /// Total number of trainable scalar parameters.
     pub fn param_count(&mut self) -> usize {
         let mut count = 0;
@@ -553,7 +565,7 @@ mod tests {
         assert_eq!(dx.shape(), x.shape());
         // Some parameter gradient must be non-zero.
         let mut total = 0.0;
-        net.visit_params(&mut |p| total += p.grad.l1_norm());
+        net.visit_params(&mut |p| total += p.grad_mut().l1_norm());
         assert!(total > 0.0);
     }
 

@@ -1,6 +1,7 @@
 //! Optimizers: SGD with momentum (fine-tuning) and RMSprop (the paper's
 //! choice for training the head-start policy networks).
 
+use hs_tensor::workspace::with_scratch_zeroed;
 use hs_tensor::{pool, Tensor};
 
 use crate::network::Network;
@@ -32,6 +33,16 @@ fn par_zip3(
         .map(|((s, v), g)| Box::new(move || f(s, v, g)) as Box<dyn FnOnce() + Send + '_>)
         .collect();
     pool::run_tasks(tasks);
+}
+
+/// Runs `f` on a parameter's gradient, or on `len` zeros when none has
+/// been accumulated, so a missing gradient updates exactly like a zeroed
+/// one.
+fn with_grad(grad: &Option<Tensor>, len: usize, f: impl FnOnce(&[f32])) {
+    match grad {
+        Some(grad) => f(grad.data()),
+        None => with_scratch_zeroed(len, |zeros| f(zeros)),
+    }
 }
 
 /// A gradient-descent optimizer over a [`Network`]'s parameters.
@@ -116,12 +127,14 @@ impl Optimizer for Sgd {
             debug_assert_eq!(v.shape(), p.value.shape(), "optimizer state shape drift");
             let decay = if p.decay { wd } else { 0.0 };
             let Param { value, grad, .. } = p;
-            par_zip3(v.data_mut(), value.data_mut(), grad.data(), |vs, ws, gs| {
-                for ((vi, w), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(gs) {
-                    let g = gi + decay * *w;
-                    *vi = mom * *vi + g;
-                    *w -= lr * *vi;
-                }
+            with_grad(grad, value.len(), |grad| {
+                par_zip3(v.data_mut(), value.data_mut(), grad, |vs, ws, gs| {
+                    for ((vi, w), &gi) in vs.iter_mut().zip(ws.iter_mut()).zip(gs) {
+                        let g = gi + decay * *w;
+                        *vi = mom * *vi + g;
+                        *w -= lr * *vi;
+                    }
+                });
             });
             idx += 1;
         });
@@ -195,18 +208,20 @@ impl Optimizer for RmsProp {
             let decay = if p.decay { wd } else { 0.0 };
             // Split-borrow value and grad so no gradient copy is needed.
             let Param { value, grad, .. } = p;
-            par_zip3(
-                sq_avg[idx].data_mut(),
-                value.data_mut(),
-                grad.data(),
-                |ss, ws, gs| {
-                    for ((w, &g0), s) in ws.iter_mut().zip(gs).zip(ss.iter_mut()) {
-                        let g = g0 + decay * *w;
-                        *s = alpha * *s + (1.0 - alpha) * g * g;
-                        *w -= lr * g / (s.sqrt() + eps);
-                    }
-                },
-            );
+            with_grad(grad, value.len(), |grad| {
+                par_zip3(
+                    sq_avg[idx].data_mut(),
+                    value.data_mut(),
+                    grad,
+                    |ss, ws, gs| {
+                        for ((w, &g0), s) in ws.iter_mut().zip(gs).zip(ss.iter_mut()) {
+                            let g = g0 + decay * *w;
+                            *s = alpha * *s + (1.0 - alpha) * g * g;
+                            *w -= lr * g / (s.sqrt() + eps);
+                        }
+                    },
+                );
+            });
             idx += 1;
         });
     }
@@ -299,7 +314,7 @@ mod tests {
     fn set_grad_towards(net: &mut Network, target: f32) {
         net.visit_params(&mut |p| {
             if p.value.len() == 1 && p.decay {
-                p.grad.data_mut()[0] = p.value.data()[0] - target;
+                p.grad_mut().data_mut()[0] = p.value.data()[0] - target;
             } else {
                 p.zero_grad();
             }

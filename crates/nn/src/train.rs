@@ -45,11 +45,28 @@ fn check_dataset(images: &Tensor, labels: &[usize]) -> Result<usize, NnError> {
 
 /// Runs one epoch of mini-batch SGD training with shuffling.
 ///
+/// Gradients are training-only storage: the epoch allocates them on its
+/// first backward pass and drops them when it returns, so a trained
+/// network carries values only.
+///
 /// # Errors
 ///
 /// Returns [`NnError::BadInput`] for inconsistent `images`/`labels` and
 /// propagates any layer error.
 pub fn train_epoch(
+    net: &mut Network,
+    opt: &mut dyn Optimizer,
+    images: &Tensor,
+    labels: &[usize],
+    batch_size: usize,
+    rng: &mut Rng,
+) -> Result<EpochStats, NnError> {
+    let stats = train_batches(net, opt, images, labels, batch_size, rng);
+    net.drop_grads();
+    stats
+}
+
+fn train_batches(
     net: &mut Network,
     opt: &mut dyn Optimizer,
     images: &Tensor,

@@ -95,7 +95,7 @@ impl PruningCriterion for AutoPruner {
                 ctx.net.backward(&grad)?;
                 // Gates are the only thing we train here: discard the
                 // parameter gradients the backward pass accumulated.
-                ctx.net.zero_grad();
+                ctx.net.drop_grads();
                 let dmask = ctx.net.take_mask_grad(site.mask_node).ok_or_else(|| {
                     PruneError::BadScoringSet {
                         detail: "mask gradient was not recorded".to_string(),
