@@ -764,6 +764,22 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_conv_geometry_is_rejected_on_load() {
+        // `Conv2d::new` does not validate, so these nets serialize; their
+        // checkpoints must fail to load with a typed error instead of
+        // loading and panicking in the first forward pass.
+        let mut rng = Rng::seed_from(11);
+        for (kernel, stride, what) in [(3, 0, "stride"), (0, 1, "k > 0")] {
+            let mut net = Network::new();
+            net.push(Node::Conv(Conv2d::new(1, 2, kernel, stride, 1, &mut rng)));
+            let bytes = to_bytes(&net).unwrap();
+            let err = from_bytes(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(what), "{err}");
+        }
+    }
+
+    #[test]
     fn file_save_load_is_atomic_and_leaves_no_tmp() {
         let mut rng = Rng::seed_from(5);
         let mut net = models::vgg11(3, 2, 8, 0.125, &mut rng).unwrap();

@@ -8,15 +8,18 @@
 //! binary would perturb them.
 
 use hs_nn::layer::Conv2d;
-use hs_tensor::{workspace, Rng, Shape, Tensor};
+use hs_tensor::{workspace, Conv2dGeometry, Rng, Shape, Tensor};
 
 #[test]
 fn conv_forward_backward_is_zero_alloc_after_warmup() {
     let mut rng = Rng::seed_from(42);
     // Small enough to stay on the calling thread (below the parallel
-    // thresholds), large enough to exercise im2col + both GEMMs.
+    // thresholds), large enough to exercise im2col + both GEMMs. The
+    // batch of 11 lowers as a group of 8 and a ragged group of 3.
     let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-    let x = Tensor::randn(Shape::d4(2, 3, 12, 12), &mut rng);
+    let x = Tensor::randn(Shape::d4(11, 3, 12, 12), &mut rng);
+    let geom = Conv2dGeometry::new(3, 12, 12, 3, 1, 1);
+    assert_eq!(geom.group_size(11), 8, "the batch must span two groups");
 
     // Warm-up: populates this thread's arena with every buffer size the
     // fwd+bwd path checks out.

@@ -6,14 +6,18 @@
 //! grid becomes a `[C·kh·kw, oh·ow]` matrix; convolving with filters
 //! `[N, C·kh·kw]` is then a single matmul per sample.
 //!
-//! The `_into` variants ([`im2col_into`], [`col2im_into`]) lower into a
-//! caller-owned slice — typically scratch from [`crate::workspace`] — so
-//! hot loops perform no heap allocation, and they parallelize over
-//! channels on the persistent [`crate::pool`] for large feature maps.
-//! Each channel owns a disjoint slice of the output, so results are
-//! bit-identical for every thread count.
+//! The `_into` variants ([`im2col_into`], [`col2im_into`]) lower a group
+//! of `g` consecutive samples side by side into one `[C·kh·kw, g·oh·ow]`
+//! matrix, so one matmul covers the whole group; `g = 1` is the
+//! per-sample lowering. They write a caller-owned slice — typically
+//! scratch from [`crate::workspace`] — so hot loops perform no heap
+//! allocation, and they parallelize over channels on the persistent
+//! [`crate::pool`] for large feature maps. Each task owns a disjoint
+//! slice of the output, so results are bit-identical for every thread
+//! count.
 
 use crate::error::TensorError;
+use crate::matmul::GROUP_ELEMS;
 use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
@@ -114,6 +118,13 @@ impl Conv2dGeometry {
         self.col_rows() * self.col_cols()
     }
 
+    /// Samples per lowered group for a batch of `batch`: the most whose
+    /// `[C·k·k, g·oh·ow]` matrix fits [`GROUP_ELEMS`] floats, never fewer
+    /// than one nor more than the batch.
+    pub fn group_size(&self, batch: usize) -> usize {
+        (GROUP_ELEMS / self.col_len().max(1)).clamp(1, batch.max(1))
+    }
+
     /// Geometry for the same layer after keeping only `channels` input
     /// channels (the pruning transformation).
     pub fn with_in_channels(&self, channels: usize) -> Self {
@@ -125,8 +136,10 @@ impl Conv2dGeometry {
 }
 
 /// Gathers one input channel's patches into its `k·k` rows of the lowered
-/// matrix. `out` must be pre-zeroed (padding cells stay zero).
-fn im2col_channel(plane: &[f32], out_rows: &mut [f32], geom: &Conv2dGeometry) {
+/// matrix. `out` starts at the sample's first column of the channel's
+/// first row, and consecutive rows are `row_len` apart. `out` must be
+/// pre-zeroed (padding cells stay zero).
+fn im2col_channel(plane: &[f32], out: &mut [f32], row_len: usize, geom: &Conv2dGeometry) {
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let k = geom.kernel;
     let cols = oh * ow;
@@ -134,7 +147,7 @@ fn im2col_channel(plane: &[f32], out_rows: &mut [f32], geom: &Conv2dGeometry) {
     for ky in 0..k {
         for kx in 0..k {
             let row = ky * k + kx;
-            let dst = &mut out_rows[row * cols..(row + 1) * cols];
+            let dst = &mut out[row * row_len..row * row_len + cols];
             for oy in 0..oh {
                 let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
                 if iy < 0 || iy >= h {
@@ -153,8 +166,10 @@ fn im2col_channel(plane: &[f32], out_rows: &mut [f32], geom: &Conv2dGeometry) {
     }
 }
 
-/// Scatters one channel's `k·k` lowered rows back onto its input plane.
-fn col2im_channel(col_rows: &[f32], plane: &mut [f32], geom: &Conv2dGeometry) {
+/// Scatters one channel's `k·k` lowered rows of one sample back onto its
+/// input plane. `col` starts at the sample's first column of the
+/// channel's first row, and consecutive rows are `row_len` apart.
+fn col2im_channel(col: &[f32], row_len: usize, plane: &mut [f32], geom: &Conv2dGeometry) {
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let k = geom.kernel;
     let cols = oh * ow;
@@ -162,7 +177,7 @@ fn col2im_channel(col_rows: &[f32], plane: &mut [f32], geom: &Conv2dGeometry) {
     for ky in 0..k {
         for kx in 0..k {
             let row = ky * k + kx;
-            let col_row = &col_rows[row * cols..(row + 1) * cols];
+            let col_row = &col[row * row_len..row * row_len + cols];
             for oy in 0..oh {
                 let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
                 if iy < 0 || iy >= h {
@@ -181,36 +196,44 @@ fn col2im_channel(col_rows: &[f32], plane: &mut [f32], geom: &Conv2dGeometry) {
     }
 }
 
-/// Lowers one `[C, H, W]` sample (as a flat slice) into a caller-owned
-/// `[C·k·k, oh·ow]` buffer without allocating. Large feature maps
-/// parallelize over channels on the persistent pool.
+/// Lowers `samples` consecutive `[C, H, W]` samples (as one flat slice)
+/// into a caller-owned `[C·k·k, samples·oh·ow]` buffer without
+/// allocating; sample `s` fills columns `s·oh·ow..(s+1)·oh·ow` of every
+/// row. Large lowerings parallelize over channels on the persistent
+/// pool.
 ///
 /// # Panics
 ///
-/// Panics if `input` or `out` lengths disagree with `geom`.
-pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
+/// Panics if `input` or `out` lengths disagree with `geom` and `samples`.
+pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry, samples: usize) {
     assert_eq!(
         input.len(),
-        geom.input_len(),
+        samples * geom.input_len(),
         "im2col_into: input length mismatch"
     );
     assert_eq!(
         out.len(),
-        geom.col_len(),
+        samples * geom.col_len(),
         "im2col_into: output length mismatch"
     );
     telem::im2col_calls().inc();
     telem::im2col_bytes().add(std::mem::size_of_val(out) as u64);
     out.fill(0.0);
     let plane = geom.in_h * geom.in_w;
-    let rows_per_c = geom.kernel * geom.kernel * geom.col_cols();
+    let (cols, row_len) = (geom.col_cols(), samples * geom.col_cols());
+    let rows_per_c = geom.kernel * geom.kernel * row_len;
     let run = |c0: usize, c1: usize, out: &mut [f32]| {
         for c in c0..c1 {
-            im2col_channel(
-                &input[c * plane..(c + 1) * plane],
-                &mut out[(c - c0) * rows_per_c..(c - c0 + 1) * rows_per_c],
-                geom,
-            );
+            let rows = &mut out[(c - c0) * rows_per_c..(c - c0 + 1) * rows_per_c];
+            for s in 0..samples {
+                let first = (s * geom.in_channels + c) * plane;
+                im2col_channel(
+                    &input[first..first + plane],
+                    &mut rows[s * cols..],
+                    row_len,
+                    geom,
+                );
+            }
         }
     };
     if out.len() < PARALLEL_ELEMS || geom.in_channels < 2 {
@@ -228,23 +251,30 @@ pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
     pool::run_tasks(tasks);
 }
 
-/// Adjoint of [`im2col_into`]: scatters a `[C·k·k, oh·ow]` patch-matrix
-/// gradient (flat slice) onto a caller-owned `[C, H, W]` buffer. Overlapping
-/// windows accumulate; with `accumulate = false` the output is zeroed
-/// first, otherwise the scatter adds to its existing contents.
+/// Adjoint of [`im2col_into`]: scatters a `[C·k·k, samples·oh·ow]`
+/// patch-matrix gradient (flat slice) onto a caller-owned
+/// `[samples, C, H, W]` buffer. Overlapping windows accumulate; with
+/// `accumulate = false` the output is zeroed first, otherwise the scatter
+/// adds to its existing contents.
 ///
 /// # Panics
 ///
-/// Panics if `col` or `out` lengths disagree with `geom`.
-pub fn col2im_into(col: &[f32], out: &mut [f32], geom: &Conv2dGeometry, accumulate: bool) {
+/// Panics if `col` or `out` lengths disagree with `geom` and `samples`.
+pub fn col2im_into(
+    col: &[f32],
+    out: &mut [f32],
+    geom: &Conv2dGeometry,
+    samples: usize,
+    accumulate: bool,
+) {
     assert_eq!(
         col.len(),
-        geom.col_len(),
+        samples * geom.col_len(),
         "col2im_into: column length mismatch"
     );
     assert_eq!(
         out.len(),
-        geom.input_len(),
+        samples * geom.input_len(),
         "col2im_into: output length mismatch"
     );
     telem::col2im_calls().inc();
@@ -252,26 +282,31 @@ pub fn col2im_into(col: &[f32], out: &mut [f32], geom: &Conv2dGeometry, accumula
         out.fill(0.0);
     }
     let plane = geom.in_h * geom.in_w;
-    let rows_per_c = geom.kernel * geom.kernel * geom.col_cols();
-    let run = |c0: usize, c1: usize, out: &mut [f32]| {
-        for c in c0..c1 {
+    let channels = geom.in_channels;
+    let (cols, row_len) = (geom.col_cols(), samples * geom.col_cols());
+    let rows_per_c = geom.kernel * geom.kernel * row_len;
+    // One (sample, channel) plane of the output per index `i`.
+    let run = |i0: usize, i1: usize, out: &mut [f32]| {
+        for i in i0..i1 {
+            let (s, c) = (i / channels, i % channels);
             col2im_channel(
-                &col[c * rows_per_c..(c + 1) * rows_per_c],
-                &mut out[(c - c0) * plane..(c - c0 + 1) * plane],
+                &col[c * rows_per_c + s * cols..],
+                row_len,
+                &mut out[(i - i0) * plane..(i - i0 + 1) * plane],
                 geom,
             );
         }
     };
-    if col.len() < PARALLEL_ELEMS || geom.in_channels < 2 {
-        run(0, geom.in_channels, out);
+    if col.len() < PARALLEL_ELEMS || channels < 2 || plane == 0 {
+        run(0, samples * channels, out);
         return;
     }
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .chunks_mut(plane)
         .enumerate()
-        .map(|(c, chunk)| {
+        .map(|(i, chunk)| {
             let run = &run;
-            Box::new(move || run(c, c + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
+            Box::new(move || run(i, i + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     pool::run_tasks(tasks);
@@ -296,7 +331,7 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
         });
     }
     let mut out = vec![0.0f32; geom.col_len()];
-    im2col_into(input.data(), &mut out, geom);
+    im2col_into(input.data(), &mut out, geom, 1);
     Tensor::from_vec(Shape::d2(geom.col_rows(), geom.col_cols()), out)
 }
 
@@ -320,7 +355,7 @@ pub fn col2im(col: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError
         });
     }
     let mut out = vec![0.0f32; geom.input_len()];
-    col2im_into(col.data(), &mut out, geom, false);
+    col2im_into(col.data(), &mut out, geom, 1, false);
     Tensor::from_vec(Shape::d3(geom.in_channels, geom.in_h, geom.in_w), out)
 }
 
@@ -456,6 +491,7 @@ mod tests {
             im2col_channel(
                 &x.data()[c * plane..(c + 1) * plane],
                 &mut want[c * rows_per_c..(c + 1) * rows_per_c],
+                g.col_cols(),
                 &g,
             );
         }
@@ -463,13 +499,61 @@ mod tests {
     }
 
     #[test]
+    fn grouped_lowering_places_each_sample_in_its_columns() {
+        // Stride 2 and padding, with a group big enough for the pooled
+        // path: each sample's columns must equal its own lowering, and
+        // the grouped col2im must equal the per-sample col2im.
+        let mut rng = Rng::seed_from(10);
+        let g = Conv2dGeometry::new(4, 49, 49, 3, 2, 1);
+        let samples = 3;
+        assert!(samples * g.col_len() >= PARALLEL_ELEMS);
+        let x = Tensor::randn(Shape::d4(samples, 4, 49, 49), &mut rng);
+        let mut col = vec![0.0f32; samples * g.col_len()];
+        im2col_into(x.data(), &mut col, &g, samples);
+        let dy: Vec<f32> = (0..col.len()).map(|_| rng.normal()).collect();
+        let mut dx = vec![0.0f32; x.len()];
+        col2im_into(&dy, &mut dx, &g, samples, false);
+        let (cols, row_len) = (g.col_cols(), samples * g.col_cols());
+        for s in 0..samples {
+            let sample = &x.data()[s * g.input_len()..(s + 1) * g.input_len()];
+            let mut own = vec![0.0f32; g.col_len()];
+            im2col_into(sample, &mut own, &g, 1);
+            let mut own_dy = vec![0.0f32; g.col_len()];
+            for r in 0..g.col_rows() {
+                let grouped = &col[r * row_len + s * cols..r * row_len + (s + 1) * cols];
+                assert_eq!(
+                    grouped,
+                    &own[r * cols..(r + 1) * cols],
+                    "sample {s} row {r}"
+                );
+                own_dy[r * cols..(r + 1) * cols]
+                    .copy_from_slice(&dy[r * row_len + s * cols..r * row_len + (s + 1) * cols]);
+            }
+            let mut own_dx = vec![0.0f32; g.input_len()];
+            col2im_into(&own_dy, &mut own_dx, &g, 1, false);
+            assert_eq!(&dx[s * g.input_len()..(s + 1) * g.input_len()], &own_dx[..]);
+        }
+    }
+
+    #[test]
+    fn group_size_fits_the_budget() {
+        let g = Conv2dGeometry::new(64, 2, 2, 3, 1, 1); // 576 × 4 = 2304
+        assert_eq!(g.group_size(32), GROUP_ELEMS / 2304);
+        assert_eq!(g.group_size(5), 5);
+        assert_eq!(g.group_size(0), 1);
+        let big = Conv2dGeometry::new(16, 32, 32, 3, 1, 1);
+        assert!(big.col_len() > GROUP_ELEMS);
+        assert_eq!(big.group_size(32), 1);
+    }
+
+    #[test]
     fn col2im_into_accumulate_adds() {
         let g = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
         let col = vec![1.0f32; g.col_len()];
         let mut fresh = vec![0.0f32; g.input_len()];
-        col2im_into(&col, &mut fresh, &g, false);
+        col2im_into(&col, &mut fresh, &g, 1, false);
         let mut twice = fresh.clone();
-        col2im_into(&col, &mut twice, &g, true);
+        col2im_into(&col, &mut twice, &g, 1, true);
         for (t, f) in twice.iter().zip(&fresh) {
             assert_eq!(*t, 2.0 * f);
         }

@@ -41,7 +41,7 @@ pub mod workspace;
 pub use error::TensorError;
 pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
 pub use init::Init;
-pub use matmul::gemm_ex;
+pub use matmul::{gemm_ex, GROUP_ELEMS, KC, NR, SMALL_THRESHOLD};
 pub use rng::{Rng, RngSnapshot};
 pub use shape::Shape;
 pub use tensor::Tensor;

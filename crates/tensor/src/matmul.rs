@@ -31,22 +31,34 @@ use crate::workspace::with_scratch;
 pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 18;
 
 /// Below this many multiply-accumulates, packing overhead exceeds the
-/// microkernel's cache benefit; use the naive loops instead.
-const SMALL_THRESHOLD: usize = 1 << 13;
+/// microkernel's cache benefit; use the naive loops instead. The naive
+/// loops round differently from the blocked path, so a product's bits
+/// depend on which side of this line it falls.
+pub const SMALL_THRESHOLD: usize = 1 << 13;
 
 /// Microkernel register tile: rows of A per strip.
 const MR: usize = 8;
 /// Microkernel register tile: columns of B per panel.
-const NR: usize = 8;
+pub const NR: usize = 8;
 /// Rows of A per cache block (must be a multiple of `MR` so strip
 /// boundaries — and therefore results — do not depend on the block
 /// partition).
 const MC: usize = 64;
 /// Depth of the shared-K cache block; one packed A strip (`KC`×`MR`) fits
-/// comfortably in L1, a packed B panel (`KC`×`NR`) in L2.
-const KC: usize = 256;
+/// comfortably in L1, a packed B panel (`KC`×`NR`) in L2. An output
+/// element's rounding depends only on `k` and this split, never on `m`,
+/// `n` or the thread count.
+pub const KC: usize = 256;
 /// Columns of B per outer block; bounds packed-B scratch at `KC`×`NC`.
 const NC: usize = 2048;
+/// Element budget of one grouped convolution lowering: a conv lowers as
+/// many consecutive samples into one `[C·k·k, g·oh·ow]` matrix as fit in
+/// this many floats (128 KiB, an L2-sized operand), so small deep layers
+/// run one wide GEMM per group instead of one narrow GEMM per sample.
+/// A constant, not a knob: the group size sets the weight-gradient
+/// summation order, so it must not vary with machine, thread count or
+/// environment.
+pub const GROUP_ELEMS: usize = 1 << 15;
 
 #[inline(always)]
 fn a_at(a: &[f32], m: usize, k: usize, i: usize, p: usize, trans: bool) -> f32 {
