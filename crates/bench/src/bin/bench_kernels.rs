@@ -16,8 +16,9 @@ use hs_nn::loss::softmax_cross_entropy;
 use hs_nn::optim::{Optimizer, Sgd};
 use hs_nn::surgery::conv_sites;
 use hs_nn::{compact, models, Network, Node};
-use hs_runner::{write_json, Json};
+use hs_telemetry::io::write_json;
 use hs_telemetry::metrics::MetricSnapshot;
+use hs_telemetry::schema::Json;
 use hs_tensor::{gemm_ex, pool, Rng, Shape, Tensor};
 
 /// The seed's GEMM: naive `i-k-j` row bands, threads spawned per call
@@ -297,22 +298,22 @@ fn main() {
     let forward_json = forward_rows
         .iter()
         .map(|row| {
-            Json::Obj(vec![
+            Json::obj(vec![
                 ("model".into(), Json::str(row.model)),
-                ("sp".into(), Json::num(row.sp as f64)),
-                ("dense_secs".into(), Json::num(row.dense_secs)),
-                ("masked_secs".into(), Json::num(row.masked_secs)),
-                ("compact_secs".into(), Json::num(row.compact_secs)),
-                ("measured_speedup".into(), Json::num(row.measured_speedup())),
+                ("sp".into(), Json::Num(row.sp as f64)),
+                ("dense_secs".into(), Json::Num(row.dense_secs)),
+                ("masked_secs".into(), Json::Num(row.masked_secs)),
+                ("compact_secs".into(), Json::Num(row.compact_secs)),
+                ("measured_speedup".into(), Json::Num(row.measured_speedup())),
                 (
                     "masked_speedup".into(),
-                    Json::num(row.dense_secs / row.masked_secs),
+                    Json::Num(row.dense_secs / row.masked_secs),
                 ),
-                ("flop_speedup".into(), Json::num(row.flop_speedup)),
-                ("predicted_speedup".into(), Json::num(row.predicted_speedup)),
+                ("flop_speedup".into(), Json::Num(row.flop_speedup)),
+                ("predicted_speedup".into(), Json::Num(row.predicted_speedup)),
                 (
                     "prediction_error_pct".into(),
-                    Json::num(row.prediction_error_pct()),
+                    Json::Num(row.prediction_error_pct()),
                 ),
             ])
         })
@@ -320,14 +321,14 @@ fn main() {
     let gemm_json = gemm_rows
         .iter()
         .map(|row| {
-            Json::Obj(vec![
-                ("size".into(), Json::num(row.size as f64)),
-                ("seed_secs".into(), Json::num(row.seed_secs)),
-                ("new_secs".into(), Json::num(row.new_secs)),
-                ("speedup".into(), Json::num(row.seed_secs / row.new_secs)),
+            Json::obj(vec![
+                ("size".into(), Json::Num(row.size as f64)),
+                ("seed_secs".into(), Json::Num(row.seed_secs)),
+                ("new_secs".into(), Json::Num(row.new_secs)),
+                ("speedup".into(), Json::Num(row.seed_secs / row.new_secs)),
                 (
                     "new_gflops".into(),
-                    Json::num(gflops(row.size, row.new_secs)),
+                    Json::Num(gflops(row.size, row.new_secs)),
                 ),
             ])
         })
@@ -339,46 +340,46 @@ fn main() {
     let metrics_json = hs_telemetry::metrics::snapshot()
         .into_iter()
         .map(|m| match m {
-            MetricSnapshot::Counter { name, value } => Json::Obj(vec![
+            MetricSnapshot::Counter { name, value } => Json::obj(vec![
                 ("name".into(), Json::str(name)),
                 ("kind".into(), Json::str("counter")),
-                ("value".into(), Json::num(value as f64)),
+                ("value".into(), Json::Num(value as f64)),
             ]),
-            MetricSnapshot::Gauge { name, value } => Json::Obj(vec![
+            MetricSnapshot::Gauge { name, value } => Json::obj(vec![
                 ("name".into(), Json::str(name)),
                 ("kind".into(), Json::str("gauge")),
-                ("value".into(), Json::num(value)),
+                ("value".into(), Json::Num(value)),
             ]),
             MetricSnapshot::Histogram {
                 name, count, sum, ..
-            } => Json::Obj(vec![
+            } => Json::obj(vec![
                 ("name".into(), Json::str(name)),
                 ("kind".into(), Json::str("histogram")),
-                ("count".into(), Json::num(count as f64)),
-                ("sum".into(), Json::num(sum)),
+                ("count".into(), Json::Num(count as f64)),
+                ("sum".into(), Json::Num(sum)),
             ]),
         })
         .collect();
-    let doc = Json::Obj(vec![
+    let doc = Json::obj(vec![
         // Versioned against the telemetry event schema so `hs_obs
         // bench-check` and downstream tooling can refuse files they
         // don't understand.
         (
             "schema_version".into(),
-            Json::num(hs_telemetry::SCHEMA_VERSION as f64),
+            Json::Num(hs_telemetry::SCHEMA_VERSION as f64),
         ),
         // The pool size actually used by the timed kernels (workers +
         // caller), not just the configured target: `HS_NUM_THREADS`
         // overrides are reflected here.
         (
             "pool_threads".into(),
-            Json::num(pool::effective_threads() as f64),
+            Json::Num(pool::effective_threads() as f64),
         ),
         // The knobs that shaped this run, so two BENCH files are only
         // ever compared like-for-like.
         (
             "env".into(),
-            Json::Obj(vec![
+            Json::obj(vec![
                 (
                     "hs_num_threads".into(),
                     match std::env::var("HS_NUM_THREADS") {
@@ -388,7 +389,7 @@ fn main() {
                 ),
                 (
                     "effective_threads".into(),
-                    Json::num(pool::effective_threads() as f64),
+                    Json::Num(pool::effective_threads() as f64),
                 ),
             ]),
         ),
@@ -396,12 +397,12 @@ fn main() {
         ("forward".into(), Json::Arr(forward_json)),
         (
             "conv".into(),
-            Json::Obj(vec![
-                ("forward_secs".into(), Json::num(conv_fwd_secs)),
-                ("backward_secs".into(), Json::num(conv_bwd_secs)),
+            Json::obj(vec![
+                ("forward_secs".into(), Json::Num(conv_fwd_secs)),
+                ("backward_secs".into(), Json::Num(conv_bwd_secs)),
             ]),
         ),
-        ("train_step_secs".into(), Json::num(train_step_secs)),
+        ("train_step_secs".into(), Json::Num(train_step_secs)),
         ("metrics".into(), Json::Arr(metrics_json)),
     ]);
 

@@ -15,7 +15,8 @@
 
 use hs_gpusim::{devices, estimate, DeviceSpec};
 use hs_nn::{models, Network, Node};
-use hs_runner::{write_json, Json};
+use hs_telemetry::io::write_json;
+use hs_telemetry::schema::Json;
 use hs_tensor::Rng;
 
 /// Deactivates blocks so each group keeps `keep[g]` of its `n` blocks
@@ -71,12 +72,12 @@ fn main() {
                 p,
                 p / f
             );
-            rows.push(Json::Obj(vec![
+            rows.push(Json::obj(vec![
                 ("scenario".into(), Json::str(name)),
                 ("device".into(), Json::str(device.name)),
-                ("original_fps".into(), Json::num(f)),
-                ("pruned_fps".into(), Json::num(p)),
-                ("speedup".into(), Json::num(p / f)),
+                ("original_fps".into(), Json::Num(f)),
+                ("pruned_fps".into(), Json::Num(p)),
+                ("speedup".into(), Json::Num(p / f)),
             ]));
         }
         println!();
@@ -110,7 +111,7 @@ fn main() {
     );
 
     if let Some(path) = artifact {
-        let doc = Json::Obj(vec![("rows".into(), Json::Arr(rows))]);
+        let doc = Json::obj(vec![("rows".into(), Json::Arr(rows))]);
         write_json(&path, &doc).expect("write artifact");
         println!("wrote {path}");
     }

@@ -197,7 +197,7 @@ fn cmd_exec(mut args: Vec<String>) -> Result<ExitCode, String> {
     let reference = resolve_reference(target, reference.as_ref(), &dir)?;
     let eval = exec_schedule(target, &plan, seed, &dir, &reference);
     if let Some(path) = result_path {
-        std::fs::write(&path, eval_to_json(&eval).render())
+        std::fs::write(&path, eval_to_json(&eval).render_compact())
             .map_err(|e| format!("--result {path}: {e}"))?;
     }
     for (kind, site) in &eval.injected {

@@ -45,13 +45,13 @@ use std::path::{Path, PathBuf};
 use hs_fleet::{drive_fleet_open, BalancerPolicy, FleetConfig, FleetEngine, FleetOutcome};
 use hs_nn::infer::SharedNetwork;
 use hs_nn::{checkpoint, models};
-use hs_obs::Val;
 use hs_runner::{
     resume_run, run, Budget, ModelChoice, ModelKind, RunnerConfig, RunnerError, FINAL_CHECKPOINT,
 };
 use hs_serve::{LoadSpec, ServeConfig};
 use hs_telemetry::faults::{self, Fault, FaultPlan};
-use hs_telemetry::{schema, Level, TelemetryConfig};
+use hs_telemetry::schema::{self, Json};
+use hs_telemetry::{Level, TelemetryConfig};
 use hs_tensor::{Rng, Shape, Tensor};
 
 /// Environment hook that deliberately breaks the named oracle: with
@@ -792,7 +792,7 @@ pub struct CampaignOutcome {
     /// Every schedule, in execution order.
     pub records: Vec<ScheduleRecord>,
     /// The byte-reproducible report (what `campaign.json` holds).
-    pub report: Val,
+    pub report: Json,
 }
 
 impl CampaignOutcome {
@@ -823,17 +823,17 @@ pub fn exec_schedule(
 /// Serializes a [`ScheduleEval`] as JSON (the `exec --result` contract
 /// between the campaign parent and its subprocess workers).
 #[must_use]
-pub fn eval_to_json(eval: &ScheduleEval) -> Val {
-    Val::Obj(vec![
+pub fn eval_to_json(eval: &ScheduleEval) -> Json {
+    Json::obj(vec![
         (
             "injected".to_string(),
-            Val::Arr(
+            Json::Arr(
                 eval.injected
                     .iter()
                     .map(|(kind, site)| {
-                        Val::Obj(vec![
-                            ("kind".to_string(), Val::str(kind.clone())),
-                            ("site".to_string(), Val::str(site.clone())),
+                        Json::obj(vec![
+                            ("kind".to_string(), Json::str(kind.clone())),
+                            ("site".to_string(), Json::str(site.clone())),
                         ])
                     })
                     .collect(),
@@ -841,13 +841,13 @@ pub fn eval_to_json(eval: &ScheduleEval) -> Val {
         ),
         (
             "violations".to_string(),
-            Val::Arr(
+            Json::Arr(
                 eval.violations
                     .iter()
                     .map(|v| {
-                        Val::Obj(vec![
-                            ("oracle".to_string(), Val::str(v.oracle.clone())),
-                            ("detail".to_string(), Val::str(v.detail.clone())),
+                        Json::obj(vec![
+                            ("oracle".to_string(), Json::str(v.oracle.clone())),
+                            ("detail".to_string(), Json::str(v.detail.clone())),
                         ])
                     })
                     .collect(),
@@ -866,7 +866,7 @@ pub fn eval_from_json(text: &str) -> Result<ScheduleEval, String> {
     let obj = value.as_obj().ok_or("result is not an object")?;
     let mut eval = ScheduleEval::default();
     for (key, val) in obj {
-        let schema::Json::Arr(items) = val else {
+        let Json::Arr(items) = val else {
             return Err(format!("{key} is not an array"));
         };
         for item in items {
@@ -1005,7 +1005,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
     }
 
     let report = campaign_report(cfg, &records);
-    std::fs::write(cfg.out_dir.join("campaign.json"), report.render())
+    std::fs::write(cfg.out_dir.join("campaign.json"), report.render_compact())
         .map_err(|e| format!("campaign.json: {e}"))?;
     Ok(CampaignOutcome { records, report })
 }
@@ -1014,31 +1014,31 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, String> {
 fn write_repro(out_dir: &Path, campaign_seed: u64, record: &ScheduleRecord) -> std::io::Result<()> {
     let minimal = record.minimal.as_ref().unwrap_or(&record.plan).to_string();
     let first = &record.eval.violations[0];
-    let doc = Val::Obj(vec![
-        ("target".to_string(), Val::str(record.target.as_str())),
+    let doc = Json::obj(vec![
+        ("target".to_string(), Json::str(record.target.as_str())),
         (
             "campaign_seed".to_string(),
-            Val::str(format!("{campaign_seed}")),
+            Json::str(format!("{campaign_seed}")),
         ),
-        ("schedule".to_string(), Val::Num(record.index as f64)),
+        ("schedule".to_string(), Json::Num(record.index as f64)),
         (
             "schedule_seed".to_string(),
-            Val::str(format!("{}", record.seed)),
+            Json::str(format!("{}", record.seed)),
         ),
         (
             "original_plan".to_string(),
-            Val::str(record.plan.to_string()),
+            Json::str(record.plan.to_string()),
         ),
-        ("minimal_plan".to_string(), Val::str(minimal.clone())),
+        ("minimal_plan".to_string(), Json::str(minimal.clone())),
         (
             "hs_fault".to_string(),
-            Val::str(format!("HS_FAULT={minimal}")),
+            Json::str(format!("HS_FAULT={minimal}")),
         ),
-        ("oracle".to_string(), Val::str(first.oracle.clone())),
-        ("detail".to_string(), Val::str(first.detail.clone())),
+        ("oracle".to_string(), Json::str(first.oracle.clone())),
+        ("detail".to_string(), Json::str(first.detail.clone())),
         (
             "command".to_string(),
-            Val::str(format!(
+            Json::str(format!(
                 "hs_chaos exec --target {} --plan '{minimal}' --seed {} --dir <RUN_DIR>",
                 record.target.as_str(),
                 record.seed
@@ -1051,7 +1051,7 @@ fn write_repro(out_dir: &Path, campaign_seed: u64, record: &ScheduleRecord) -> s
             record.target.as_str(),
             record.index
         )),
-        doc.render(),
+        doc.render_compact(),
     )
 }
 
@@ -1060,7 +1060,7 @@ fn write_repro(out_dir: &Path, campaign_seed: u64, record: &ScheduleRecord) -> s
 /// wall-clock or filesystem paths, so two runs of the same campaign
 /// render byte-identical documents.
 #[must_use]
-pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val {
+pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Json {
     let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
     for record in records {
         for (kind, _) in &record.eval.injected {
@@ -1071,12 +1071,12 @@ pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val 
     for &target in &cfg.targets {
         let of_target: Vec<&ScheduleRecord> =
             records.iter().filter(|r| r.target == target).collect();
-        targets.push(Val::Obj(vec![
-            ("target".to_string(), Val::str(target.as_str())),
-            ("schedules".to_string(), Val::Num(of_target.len() as f64)),
+        targets.push(Json::obj(vec![
+            ("target".to_string(), Json::str(target.as_str())),
+            ("schedules".to_string(), Json::Num(of_target.len() as f64)),
             (
                 "fault_entries".to_string(),
-                Val::Num(
+                Json::Num(
                     of_target
                         .iter()
                         .map(|r| r.plan.faults.len() as u64)
@@ -1085,7 +1085,7 @@ pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val 
             ),
             (
                 "faults_injected".to_string(),
-                Val::Num(
+                Json::Num(
                     of_target
                         .iter()
                         .map(|r| r.eval.injected.len() as u64)
@@ -1094,7 +1094,7 @@ pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val 
             ),
             (
                 "violations".to_string(),
-                Val::Num(
+                Json::Num(
                     of_target
                         .iter()
                         .map(|r| r.eval.violations.len() as u64)
@@ -1107,39 +1107,39 @@ pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val 
         .iter()
         .flat_map(|r| {
             r.eval.violations.iter().map(move |v| {
-                Val::Obj(vec![
-                    ("target".to_string(), Val::str(r.target.as_str())),
-                    ("schedule".to_string(), Val::Num(r.index as f64)),
-                    ("seed".to_string(), Val::str(format!("{}", r.seed))),
-                    ("plan".to_string(), Val::str(r.plan.to_string())),
+                Json::obj(vec![
+                    ("target".to_string(), Json::str(r.target.as_str())),
+                    ("schedule".to_string(), Json::Num(r.index as f64)),
+                    ("seed".to_string(), Json::str(format!("{}", r.seed))),
+                    ("plan".to_string(), Json::str(r.plan.to_string())),
                     (
                         "minimal_plan".to_string(),
-                        Val::str(r.minimal.as_ref().unwrap_or(&r.plan).to_string()),
+                        Json::str(r.minimal.as_ref().unwrap_or(&r.plan).to_string()),
                     ),
-                    ("oracle".to_string(), Val::str(v.oracle.clone())),
-                    ("detail".to_string(), Val::str(v.detail.clone())),
+                    ("oracle".to_string(), Json::str(v.oracle.clone())),
+                    ("detail".to_string(), Json::str(v.detail.clone())),
                 ])
             })
         })
         .collect();
     let total_violations: u64 = records.iter().map(|r| r.eval.violations.len() as u64).sum();
-    Val::Obj(vec![
+    Json::obj(vec![
         (
             "campaign".to_string(),
-            Val::Obj(vec![
-                ("seed".to_string(), Val::str(format!("{}", cfg.seed))),
+            Json::obj(vec![
+                ("seed".to_string(), Json::str(format!("{}", cfg.seed))),
                 (
                     "schedules_per_target".to_string(),
-                    Val::Num(cfg.schedules as f64),
+                    Json::Num(cfg.schedules as f64),
                 ),
-                ("intensity".to_string(), Val::Num(cfg.intensity as f64)),
+                ("intensity".to_string(), Json::Num(cfg.intensity as f64)),
                 (
                     "targets".to_string(),
-                    Val::Arr(cfg.targets.iter().map(|t| Val::str(t.as_str())).collect()),
+                    Json::Arr(cfg.targets.iter().map(|t| Json::str(t.as_str())).collect()),
                 ),
                 (
                     "mode".to_string(),
-                    Val::str(if cfg.subprocess {
+                    Json::str(if cfg.subprocess {
                         "subprocess"
                     } else {
                         "in-process"
@@ -1147,20 +1147,20 @@ pub fn campaign_report(cfg: &CampaignConfig, records: &[ScheduleRecord]) -> Val 
                 ),
             ]),
         ),
-        ("targets".to_string(), Val::Arr(targets)),
+        ("targets".to_string(), Json::Arr(targets)),
         (
             "injected_by_kind".to_string(),
-            Val::Obj(
+            Json::obj(
                 by_kind
                     .into_iter()
-                    .map(|(kind, count)| (kind, Val::Num(count as f64)))
+                    .map(|(kind, count)| (kind, Json::Num(count as f64)))
                     .collect(),
             ),
         ),
-        ("violations".to_string(), Val::Arr(violations)),
+        ("violations".to_string(), Json::Arr(violations)),
         (
             "result".to_string(),
-            Val::str(if total_violations == 0 {
+            Json::str(if total_violations == 0 {
                 "pass"
             } else {
                 "fail"
@@ -1293,10 +1293,11 @@ mod tests {
                 detail: "replica 1 never recovered".to_string(),
             }],
         };
-        let back = eval_from_json(&eval_to_json(&eval).render()).unwrap();
+        let back = eval_from_json(&eval_to_json(&eval).render_compact()).unwrap();
         assert_eq!(back.injected, eval.injected);
         assert_eq!(back.violations, eval.violations);
-        let empty = eval_from_json(&eval_to_json(&ScheduleEval::default()).render()).unwrap();
+        let empty =
+            eval_from_json(&eval_to_json(&ScheduleEval::default()).render_compact()).unwrap();
         assert!(empty.injected.is_empty() && empty.violations.is_empty());
     }
 
@@ -1325,7 +1326,7 @@ mod tests {
             },
             minimal: None,
         }];
-        let text = campaign_report(&cfg, &records).render();
+        let text = campaign_report(&cfg, &records).render_compact();
         assert!(
             !text.contains("nonexistent-not-written"),
             "paths leaked: {text}"

@@ -40,7 +40,7 @@ fn campaigns_are_clean_and_byte_reproducible() {
         a.violations(),
         0,
         "clean tree violated:\n{}",
-        a.report.render()
+        a.report.render_compact()
     );
     assert!(
         a.records.iter().any(|r| !r.eval.injected.is_empty()),
@@ -50,8 +50,8 @@ fn campaigns_are_clean_and_byte_reproducible() {
     let cfg_b = config("camp-b", vec![Target::Pipeline, Target::Fleet], 2);
     let b = run_campaign(&cfg_b).expect("campaign b");
     assert_eq!(
-        a.report.render(),
-        b.report.render(),
+        a.report.render_compact(),
+        b.report.render_compact(),
         "same seed rendered different reports"
     );
     let file_a = std::fs::read(cfg_a.out_dir.join("campaign.json")).expect("report a");
@@ -101,5 +101,8 @@ fn a_broken_invariant_is_shrunk_to_a_one_entry_repro() {
         assert!(text.contains("\"oracle\":\"conservation\""), "{text}");
         assert!(text.contains("hs_chaos exec --target fleet"), "{text}");
     }
-    assert!(outcome.report.render().contains("\"result\":\"fail\""));
+    assert!(outcome
+        .report
+        .render_compact()
+        .contains("\"result\":\"fail\""));
 }

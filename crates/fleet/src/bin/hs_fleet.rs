@@ -23,9 +23,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hs_fleet::{drive_fleet_open, BalancerPolicy, FleetConfig, FleetEngine, FleetOutcome};
-use hs_runner::report::{write_json, Json};
 use hs_runner::ServeManifest;
 use hs_serve::{load_with_retry, Plan, RetryPolicy, ServeError, SlotKind};
+use hs_telemetry::io::write_json;
+use hs_telemetry::schema::Json;
 use hs_telemetry::{Level, TelemetryConfig};
 use hs_tensor::Rng;
 
@@ -274,64 +275,64 @@ fn report_json(manifest: &ServeManifest, fleet: &FleetEngine, outcomes: &[FleetO
     let replicas: Vec<Json> = (0..fleet.replicas())
         .map(|k| {
             let r = fleet.replica_summary(k);
-            Json::Obj(vec![
-                ("replica".into(), Json::num(k as f64)),
+            Json::obj(vec![
+                ("replica".into(), Json::Num(k as f64)),
                 ("health".into(), Json::str(fleet.health(k).as_str())),
-                ("submitted".into(), Json::num(r.submitted as f64)),
-                ("completed".into(), Json::num(r.completed as f64)),
-                ("batches".into(), Json::num(r.batches as f64)),
-                ("degrades".into(), Json::num(r.degrades as f64)),
-                ("breaker_trips".into(), Json::num(r.breaker_trips as f64)),
+                ("submitted".into(), Json::Num(r.submitted as f64)),
+                ("completed".into(), Json::Num(r.completed as f64)),
+                ("batches".into(), Json::Num(r.batches as f64)),
+                ("degrades".into(), Json::Num(r.degrades as f64)),
+                ("breaker_trips".into(), Json::Num(r.breaker_trips as f64)),
             ])
         })
         .collect();
-    Json::Obj(vec![
+    Json::obj(vec![
         ("label".into(), Json::str(manifest.label.clone())),
-        ("replicas".into(), Json::num(fleet.replicas() as f64)),
-        ("submitted".into(), Json::num(s.submitted as f64)),
-        ("completed".into(), Json::num(s.completed as f64)),
+        ("replicas".into(), Json::Num(fleet.replicas() as f64)),
+        ("submitted".into(), Json::Num(s.submitted as f64)),
+        ("completed".into(), Json::Num(s.completed as f64)),
         (
             "completed_hedged".into(),
-            Json::num(hedged_completions as f64),
+            Json::Num(hedged_completions as f64),
         ),
         (
             "rejected_replica".into(),
-            Json::num(s.rejected_replica as f64),
+            Json::Num(s.rejected_replica as f64),
         ),
         (
             "rejected_tenant_quota".into(),
-            Json::num(s.rejected_tenant_quota as f64),
+            Json::Num(s.rejected_tenant_quota as f64),
         ),
         (
             "rejected_priority".into(),
-            Json::num(s.rejected_priority as f64),
+            Json::Num(s.rejected_priority as f64),
         ),
         (
             "rejected_no_replica".into(),
-            Json::num(s.rejected_no_replica as f64),
+            Json::Num(s.rejected_no_replica as f64),
         ),
-        ("failovers".into(), Json::num(s.failovers as f64)),
-        ("failover_sheds".into(), Json::num(s.failover_sheds as f64)),
-        ("ejections".into(), Json::num(s.ejections as f64)),
-        ("recoveries".into(), Json::num(s.recoveries as f64)),
-        ("probes".into(), Json::num(s.probes as f64)),
+        ("failovers".into(), Json::Num(s.failovers as f64)),
+        ("failover_sheds".into(), Json::Num(s.failover_sheds as f64)),
+        ("ejections".into(), Json::Num(s.ejections as f64)),
+        ("recoveries".into(), Json::Num(s.recoveries as f64)),
+        ("probes".into(), Json::Num(s.probes as f64)),
         (
             "hedges_launched".into(),
-            Json::num(s.hedges_launched as f64),
+            Json::Num(s.hedges_launched as f64),
         ),
-        ("hedges_won".into(), Json::num(s.hedges_won as f64)),
-        ("hedges_lost".into(), Json::num(s.hedges_lost as f64)),
+        ("hedges_won".into(), Json::Num(s.hedges_won as f64)),
+        ("hedges_lost".into(), Json::Num(s.hedges_lost as f64)),
         (
             "hedges_rejected".into(),
-            Json::num(s.hedges_rejected as f64),
+            Json::Num(s.hedges_rejected as f64),
         ),
         (
             "mean_latency_micros".into(),
-            Json::num((mean_latency * 1e3).round() / 1e3),
+            Json::Num((mean_latency * 1e3).round() / 1e3),
         ),
         (
             "max_latency_micros".into(),
-            Json::num(s.max_latency_micros as f64),
+            Json::Num(s.max_latency_micros as f64),
         ),
         ("replica_stats".into(), Json::Arr(replicas)),
     ])
@@ -343,7 +344,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::SUCCESS;
     }
-    if let Err(e) = hs_runner::arm_from_env() {
+    if let Err(e) = hs_telemetry::faults::arm_from_env() {
         eprintln!("hs_fleet: {e}");
         return ExitCode::FAILURE;
     }

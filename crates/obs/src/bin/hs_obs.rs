@@ -107,7 +107,7 @@ fn cmd_report(mut args: Vec<String>) -> Result<ExitCode, String> {
     let events = read_events(Path::new(&events_path))?;
     let report = build_report(&events);
     if as_json {
-        println!("{}", report_json(&report).render());
+        println!("{}", report_json(&report).render_compact());
     } else {
         print!("{}", report_table(&report));
     }

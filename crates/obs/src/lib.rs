@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use hs_telemetry::schema::{self, Json};
+use hs_telemetry::schema::{self, Json, Obj};
 use hs_telemetry::trace;
 
 // ---------------------------------------------------------------------------
@@ -83,10 +83,9 @@ pub fn load_events(text: &str) -> Result<Vec<EventRec>, String> {
             .as_obj()
             .ok_or_else(|| format!("line {line}: not a JSON object"))?;
         let get_str = |key: &str| {
-            obj.get(key)
-                .and_then(Json::as_str)
+            obj.str(key)
                 .map(str::to_string)
-                .ok_or_else(|| format!("line {line}: missing string `{key}`"))
+                .map_err(|e| format!("line {line}: {e}"))
         };
         out.push(EventRec {
             line,
@@ -94,103 +93,15 @@ pub fn load_events(text: &str) -> Result<Vec<EventRec>, String> {
             level: get_str("level")?,
             name: get_str("name")?,
             message: get_str("message")?,
+            // Sorted, with the last of any duplicate key winning.
             fields: obj
                 .get("fields")
                 .and_then(Json::as_obj)
-                .cloned()
+                .map(|fields| fields.iter().cloned().collect())
                 .unwrap_or_default(),
         });
     }
     Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic JSON output
-// ---------------------------------------------------------------------------
-
-/// A JSON value for report output. Object keys keep insertion order so
-/// rendered reports are stable and diffable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Val {
-    /// A number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Val>),
-    /// An insertion-ordered object.
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Val {
-        Val::Str(s.into())
-    }
-
-    /// Renders compact JSON. Integral numbers render without a decimal
-    /// point; everything derives from field values, so the output is
-    /// identical across identical seeded runs.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Val::Num(n) => {
-                if n.is_finite() && *n == n.trunc() && n.abs() < 1e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    // JSON has no infinity; burn rates with a zero
-                    // error budget land here.
-                    out.push_str("\"inf\"");
-                }
-            }
-            Val::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Val::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Val::Obj(entries) => {
-                out.push('{');
-                for (i, (key, value)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Val::Str(key.clone()).write(out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +198,7 @@ pub fn trace_timeline(events: &[EventRec], trace_id: u64) -> Vec<TimelineRow> {
                     let _ = write!(detail, "{key}={s}");
                 }
                 Json::Num(n) => {
-                    let _ = write!(detail, "{key}={}", Val::Num(*n).render());
+                    let _ = write!(detail, "{key}={}", Json::Num(*n).render_compact());
                 }
                 other => {
                     let _ = write!(detail, "{key}={other:?}");
@@ -596,52 +507,52 @@ pub fn shed_breakdown(report: &Report) -> Vec<(&str, u64)> {
 }
 
 /// The report as a deterministic JSON value.
-pub fn report_json(report: &Report) -> Val {
-    let outcomes = Val::Obj(
+pub fn report_json(report: &Report) -> Json {
+    let outcomes = Json::obj(
         report
             .outcomes
             .iter()
-            .map(|(k, v)| (k.clone(), Val::Num(*v as f64)))
+            .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
             .collect(),
     );
     let latency = match &report.latency {
-        Some(l) => Val::Obj(vec![
-            ("count".into(), Val::Num(l.count as f64)),
-            ("p50_micros".into(), Val::Num(l.p50)),
-            ("p95_micros".into(), Val::Num(l.p95)),
-            ("p99_micros".into(), Val::Num(l.p99)),
+        Some(l) => Json::obj(vec![
+            ("count".into(), Json::Num(l.count as f64)),
+            ("p50_micros".into(), Json::Num(l.p50)),
+            ("p95_micros".into(), Json::Num(l.p95)),
+            ("p99_micros".into(), Json::Num(l.p99)),
         ]),
-        None => Val::Obj(vec![]),
+        None => Json::obj(vec![]),
     };
-    let breaker = Val::Arr(
+    let breaker = Json::Arr(
         report
             .breaker
             .iter()
             .map(|(line, from, to)| {
-                Val::Obj(vec![
-                    ("line".into(), Val::Num(*line as f64)),
-                    ("from".into(), Val::str(from.clone())),
-                    ("to".into(), Val::str(to.clone())),
+                Json::obj(vec![
+                    ("line".into(), Json::Num(*line as f64)),
+                    ("from".into(), Json::str(from.clone())),
+                    ("to".into(), Json::str(to.clone())),
                 ])
             })
             .collect(),
     );
-    let swaps = Val::Arr(
+    let swaps = Json::Arr(
         report
             .swaps
             .iter()
             .map(|(line, event, reason, model)| {
-                Val::Obj(vec![
-                    ("line".into(), Val::Num(*line as f64)),
-                    ("event".into(), Val::str(event.clone())),
-                    ("reason".into(), Val::str(reason.clone())),
-                    ("model".into(), Val::str(model.clone())),
+                Json::obj(vec![
+                    ("line".into(), Json::Num(*line as f64)),
+                    ("event".into(), Json::str(event.clone())),
+                    ("reason".into(), Json::str(reason.clone())),
+                    ("model".into(), Json::str(model.clone())),
                 ])
             })
             .collect(),
     );
     let total_items: u64 = report.workers.iter().map(|(_, items)| items).sum();
-    let workers = Val::Arr(
+    let workers = Json::Arr(
         report
             .workers
             .iter()
@@ -651,30 +562,30 @@ pub fn report_json(report: &Report) -> Val {
                 } else {
                     *items as f64 / total_items as f64
                 };
-                Val::Obj(vec![
-                    ("worker".into(), Val::Num(*worker as f64)),
-                    ("items".into(), Val::Num(*items as f64)),
-                    ("share".into(), Val::Num(share)),
+                Json::obj(vec![
+                    ("worker".into(), Json::Num(*worker as f64)),
+                    ("items".into(), Json::Num(*items as f64)),
+                    ("share".into(), Json::Num(share)),
                 ])
             })
             .collect(),
     );
-    let slo = Val::Arr(
+    let slo = Json::Arr(
         report
             .slo
             .values()
             .map(|c| {
                 let mut entries = vec![
-                    ("class".into(), Val::Num(c.class as f64)),
-                    ("burns".into(), Val::Num(c.burns as f64)),
+                    ("class".into(), Json::Num(c.class as f64)),
+                    ("burns".into(), Json::Num(c.burns as f64)),
                 ];
                 if let Some(ratio) = c.last_hit_ratio {
-                    entries.push(("last_hit_ratio".into(), Val::Num(ratio)));
+                    entries.push(("last_hit_ratio".into(), Json::Num(ratio)));
                 }
                 if let Some(rate) = c.burn_rate {
-                    entries.push(("burn_rate".into(), Val::Num(rate)));
+                    entries.push(("burn_rate".into(), Json::Num(rate)));
                 }
-                Val::Obj(entries)
+                Json::obj(entries)
             })
             .collect(),
     );
@@ -692,22 +603,22 @@ pub fn report_json(report: &Report) -> Val {
     if !report.faults.is_empty() {
         top.push((
             "faults".into(),
-            Val::Obj(
+            Json::obj(
                 report
                     .faults
                     .iter()
-                    .map(|(key, count)| (key.clone(), Val::Num(*count as f64)))
+                    .map(|(key, count)| (key.clone(), Json::Num(*count as f64)))
                     .collect(),
             ),
         ));
     }
-    Val::Obj(top)
+    Json::obj(top)
 }
 
 /// The fleet section as a deterministic JSON value.
-fn fleet_json(fleet: &FleetSection) -> Val {
+fn fleet_json(fleet: &FleetSection) -> Json {
     let total_items: u64 = fleet.replicas.values().map(|(_, items)| items).sum();
-    let replicas = Val::Arr(
+    let replicas = Json::Arr(
         fleet
             .replicas
             .iter()
@@ -717,48 +628,48 @@ fn fleet_json(fleet: &FleetSection) -> Val {
                 } else {
                     *items as f64 / total_items as f64
                 };
-                Val::Obj(vec![
-                    ("replica".into(), Val::Num(*replica as f64)),
-                    ("batches".into(), Val::Num(*batches as f64)),
-                    ("items".into(), Val::Num(*items as f64)),
-                    ("share".into(), Val::Num(share)),
+                Json::obj(vec![
+                    ("replica".into(), Json::Num(*replica as f64)),
+                    ("batches".into(), Json::Num(*batches as f64)),
+                    ("items".into(), Json::Num(*items as f64)),
+                    ("share".into(), Json::Num(share)),
                 ])
             })
             .collect(),
     );
-    let health = Val::Arr(
+    let health = Json::Arr(
         fleet
             .health
             .iter()
             .map(|(line, replica, from, to)| {
-                Val::Obj(vec![
-                    ("line".into(), Val::Num(*line as f64)),
-                    ("replica".into(), Val::Num(*replica as f64)),
-                    ("from".into(), Val::str(from.clone())),
-                    ("to".into(), Val::str(to.clone())),
+                Json::obj(vec![
+                    ("line".into(), Json::Num(*line as f64)),
+                    ("replica".into(), Json::Num(*replica as f64)),
+                    ("from".into(), Json::str(from.clone())),
+                    ("to".into(), Json::str(to.clone())),
                 ])
             })
             .collect(),
     );
-    let failovers = Val::Arr(
+    let failovers = Json::Arr(
         fleet
             .failovers
             .iter()
             .map(|(line, id, from, outcome)| {
-                Val::Obj(vec![
-                    ("line".into(), Val::Num(*line as f64)),
-                    ("id".into(), Val::Num(*id as f64)),
-                    ("from".into(), Val::Num(*from as f64)),
-                    ("outcome".into(), Val::str(outcome.clone())),
+                Json::obj(vec![
+                    ("line".into(), Json::Num(*line as f64)),
+                    ("id".into(), Json::Num(*id as f64)),
+                    ("from".into(), Json::Num(*from as f64)),
+                    ("outcome".into(), Json::str(outcome.clone())),
                 ])
             })
             .collect(),
     );
-    let hedges = Val::Obj(
+    let hedges = Json::obj(
         fleet
             .hedges
             .iter()
-            .map(|(k, v)| (k.clone(), Val::Num(*v as f64)))
+            .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
             .collect(),
     );
     let mut entries = vec![
@@ -768,9 +679,9 @@ fn fleet_json(fleet: &FleetSection) -> Val {
         ("hedges".into(), hedges),
     ];
     if let Some(rate) = fleet.hedge_win_rate() {
-        entries.push(("hedge_win_rate".into(), Val::Num(rate)));
+        entries.push(("hedge_win_rate".into(), Json::Num(rate)));
     }
-    Val::Obj(entries)
+    Json::obj(entries)
 }
 
 /// The report as a human-readable table.
@@ -955,7 +866,7 @@ pub struct Regression {
     pub current: f64,
 }
 
-fn bench_rows<'a>(doc: &'a Json, key: &str) -> Vec<&'a BTreeMap<String, Json>> {
+fn bench_rows<'a>(doc: &'a Json, key: &str) -> Vec<&'a Obj> {
     match doc.as_obj().and_then(|o| o.get(key)) {
         Some(Json::Arr(rows)) => rows.iter().filter_map(Json::as_obj).collect(),
         _ => Vec::new(),
@@ -987,7 +898,7 @@ fn check_metric(
 /// current file are informational, never regressions.
 pub fn bench_check(current: &Json, baseline: &Json, tolerance: f64) -> Vec<Regression> {
     let mut out = Vec::new();
-    let cur_gemm: BTreeMap<i64, &BTreeMap<String, Json>> = bench_rows(current, "gemm")
+    let cur_gemm: BTreeMap<i64, &Obj> = bench_rows(current, "gemm")
         .into_iter()
         .filter_map(|row| {
             row.get("size")
@@ -1011,12 +922,12 @@ pub fn bench_check(current: &Json, baseline: &Json, tolerance: f64) -> Vec<Regre
             &mut out,
         );
     }
-    let fwd_key = |row: &BTreeMap<String, Json>| -> Option<String> {
+    let fwd_key = |row: &Obj| -> Option<String> {
         let model = row.get("model").and_then(Json::as_str)?;
         let sp = row.get("sp").and_then(Json::as_num)?;
         Some(format!("{model}@sp{sp}"))
     };
-    let cur_fwd: BTreeMap<String, &BTreeMap<String, Json>> = bench_rows(current, "forward")
+    let cur_fwd: BTreeMap<String, &Obj> = bench_rows(current, "forward")
         .into_iter()
         .filter_map(|row| fwd_key(row).map(|k| (k, row)))
         .collect();
@@ -1177,8 +1088,8 @@ mod tests {
         assert_eq!(slo.burn_rate, Some(5.0));
 
         // JSON output is a pure function of field values.
-        let a = report_json(&report).render();
-        let b = report_json(&build_report(&events)).render();
+        let a = report_json(&report).render_compact();
+        let b = report_json(&build_report(&events)).render_compact();
         assert_eq!(a, b);
         assert!(a.contains("\"queue_full\":1"));
         let table = report_table(&report);
@@ -1198,7 +1109,7 @@ mod tests {
         .field("outcome", "flush")]);
         let report = build_report(&plain);
         assert!(report.fleet.is_empty());
-        assert!(!report_json(&report).render().contains("\"fleet\""));
+        assert!(!report_json(&report).render_compact().contains("\"fleet\""));
 
         // A fleet stream fills all four sub-sections.
         let batch = |replica: u64, size: u64| {
@@ -1242,7 +1153,7 @@ mod tests {
         assert_eq!(report.fleet.hedges["launched"], 2);
         assert!((report.fleet.hedge_win_rate().unwrap() - 0.5).abs() < 1e-9);
 
-        let json = report_json(&report).render();
+        let json = report_json(&report).render_compact();
         assert!(json.contains("\"fleet\""));
         assert!(json.contains("\"hedge_win_rate\":0.5"));
         assert!(json.contains("\"share\":0.5"));
@@ -1318,7 +1229,7 @@ mod tests {
         let report = build_report(&events);
         assert_eq!(report.faults.get("torn_write@metrics"), Some(&2));
         assert_eq!(report.faults.get("probe_loss@replica1"), Some(&1));
-        let json = report_json(&report).render();
+        let json = report_json(&report).render_compact();
         assert!(
             json.contains(r#""faults":{"probe_loss@replica1":1,"torn_write@metrics":2}"#),
             "{json}"
@@ -1328,22 +1239,7 @@ mod tests {
         assert!(table.contains("torn_write@metrics"), "{table}");
         // Fault-free streams keep the section out entirely.
         let clean = build_report(&[]);
-        assert!(!report_json(&clean).render().contains("faults"));
+        assert!(!report_json(&clean).render_compact().contains("faults"));
         assert!(!report_table(&clean).contains("faults injected"));
-    }
-
-    #[test]
-    fn val_renders_integers_bare_and_escapes_strings() {
-        let v = Val::Obj(vec![
-            ("n".into(), Val::Num(3.0)),
-            ("f".into(), Val::Num(0.25)),
-            ("inf".into(), Val::Num(f64::INFINITY)),
-            ("s".into(), Val::str("a\"b\n")),
-            ("a".into(), Val::Arr(vec![Val::Num(1.0), Val::Num(2.0)])),
-        ]);
-        assert_eq!(
-            v.render(),
-            r#"{"n":3,"f":0.25,"inf":"inf","s":"a\"b\n","a":[1,2]}"#
-        );
     }
 }

@@ -73,6 +73,19 @@ fn bench_check_exits_nonzero_on_synthetic_regression() {
 }
 
 #[test]
+fn deeply_nested_bench_files_fail_with_a_message_instead_of_aborting() {
+    let deep = tmp("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).expect("write deep file");
+    let path = deep.to_str().unwrap();
+    let out = hs_obs(&["bench-check", path, "--baseline", path]);
+    // Exit code 2 is the CLI's unreadable-input code; a stack overflow
+    // would abort the process with a signal and no exit code.
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than"), "stderr: {stderr}");
+}
+
+#[test]
 fn unknown_commands_and_missing_files_fail_with_usage() {
     let out = hs_obs(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

@@ -27,7 +27,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use hs_runner::{arm_from_env, pct, resume_run, run, PipelineReport, RunnerConfig, RunnerError};
+use hs_runner::{pct, resume_run, run, PipelineReport, RunnerConfig, RunnerError};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    if let Err(e) = arm_from_env() {
+    if let Err(e) = hs_telemetry::faults::arm_from_env().map_err(RunnerError::BadConfig) {
         eprintln!("hs_run: {e}");
         return ExitCode::FAILURE;
     }

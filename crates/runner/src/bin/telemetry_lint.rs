@@ -119,8 +119,7 @@ fn main() -> ExitCode {
         let value = parse(line).expect("validated line parses");
         let obj = value.as_obj().expect("validated line is an object");
         let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
+            .str("kind")
             .map(String::from)
             .expect("validated line has a kind");
         for (rule_idx, (rule_kind, fields)) in field_rules.iter().enumerate() {
@@ -130,7 +129,7 @@ fn main() -> ExitCode {
             let event_fields = obj.get("fields").and_then(Json::as_obj);
             let missing = fields
                 .iter()
-                .find(|f| event_fields.is_none_or(|m| !m.contains_key(f.as_str())));
+                .find(|f| event_fields.is_none_or(|m| m.get(f).is_none()));
             if let Some(field) = missing {
                 field_offense[rule_idx] = Some((lineno + 1, field.clone()));
             }

@@ -1,7 +1,7 @@
-//! Runner-side fault injection: parsing the `HS_FAULT` environment
-//! variable into the process-global fault registry
-//! ([`hs_telemetry::faults`]) and turning `kill_after` faults into
-//! simulated crashes at pipeline stage boundaries.
+//! Runner-side fault injection: turning `kill_after` faults from the
+//! process-global registry ([`hs_telemetry::faults`], armed from
+//! `HS_FAULT` by [`hs_telemetry::faults::arm_from_env`]) into simulated
+//! crashes at pipeline stage boundaries.
 //!
 //! ```text
 //! HS_FAULT=io_error:checkpoint:2,kill_after:prune_unit:1 hs_run …
@@ -19,35 +19,9 @@
 //! seeded run always fires at the same operation, which is what lets
 //! the crash/resume parity tests compare bit-for-bit.
 
-use hs_telemetry::faults::{self, FaultPlan};
+use hs_telemetry::faults;
 
 use crate::error::RunnerError;
-
-/// Environment variable holding the fault plan (`kind:site[:n]`,
-/// comma-separated).
-pub const FAULT_ENV: &str = "HS_FAULT";
-
-/// Arms the fault plan from the `HS_FAULT` environment variable, if
-/// set. With the variable unset or empty this is a no-op (and disarms
-/// nothing already armed programmatically).
-///
-/// # Errors
-///
-/// Returns [`RunnerError::BadConfig`] when the variable is set but
-/// malformed — a typo in a fault plan should fail loudly, not silently
-/// run without faults.
-pub fn arm_from_env() -> Result<(), RunnerError> {
-    let Ok(spec) = std::env::var(FAULT_ENV) else {
-        return Ok(());
-    };
-    if spec.trim().is_empty() {
-        return Ok(());
-    }
-    let plan =
-        FaultPlan::parse(&spec).map_err(|e| RunnerError::BadConfig(format!("{FAULT_ENV}: {e}")))?;
-    faults::arm(plan);
-    Ok(())
-}
 
 /// A pipeline stage boundary: reports an [`RunnerError::InjectedCrash`]
 /// when an armed `kill_after:<site>` fault fires here, after flushing
@@ -72,6 +46,7 @@ pub fn crash_point(site: &str) -> Result<(), RunnerError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs_telemetry::faults::FaultPlan;
 
     #[test]
     fn crash_points_fire_only_for_armed_kill_after_faults() {

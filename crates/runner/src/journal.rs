@@ -19,20 +19,18 @@
 //!   Box–Muller cache, which is what makes a resumed run bit-identical
 //!   to an uninterrupted one.
 //!
-//! Reading uses the workspace's own JSON parser
-//! ([`hs_telemetry::schema::parse`]); writing uses the runner's
-//! [`Json`] value through the atomic writer, so an armed
-//! `io_error:journal` / `io_flaky:journal` fault exercises exactly the
-//! production write path.
+//! Reading and writing use the workspace's one JSON value
+//! ([`hs_telemetry::schema::Json`]); writes go through the atomic
+//! writer, so an armed `io_error:journal` / `io_flaky:journal` fault
+//! exercises exactly the production write path.
 
 use std::path::{Path, PathBuf};
 
-use hs_telemetry::schema;
+use hs_telemetry::schema::{self, Json};
 use hs_tensor::RngSnapshot;
 
 use crate::config::{DataChoice, Method, ModelChoice, RunnerConfig};
 use crate::error::RunnerError;
-use crate::report::Json;
 
 /// File name of the journal inside a run directory.
 pub const JOURNAL_FILE: &str = "run.journal.json";
@@ -168,35 +166,35 @@ impl Journal {
             Some(p) => Json::str(p.to_string_lossy()),
             None => Json::Null,
         };
-        let config = Json::Obj(vec![
+        let config = Json::obj(vec![
             ("label".into(), Json::str(cfg.label.clone())),
             ("data".into(), Json::str(cfg.data.name())),
             ("model".into(), Json::str(cfg.model.name())),
-            ("width".into(), Json::num(f64::from(cfg.model.width))),
+            ("width".into(), Json::Num(f64::from(cfg.model.width))),
             ("method".into(), Json::str(cfg.method.cli_name())),
-            ("sp".into(), Json::num(f64::from(cfg.method.sp()))),
-            ("keep".into(), Json::num(f64::from(cfg.method.keep_ratio()))),
-            ("seed".into(), hex(cfg.seed)),
-            ("prune_seed".into(), hex(cfg.prune_seed)),
+            ("sp".into(), Json::Num(f64::from(cfg.method.sp()))),
+            ("keep".into(), Json::Num(f64::from(cfg.method.keep_ratio()))),
+            ("seed".into(), Json::hex(cfg.seed)),
+            ("prune_seed".into(), Json::hex(cfg.prune_seed)),
             (
                 "pretrain_epochs".into(),
-                Json::num(cfg.budget.pretrain_epochs as f64),
+                Json::Num(cfg.budget.pretrain_epochs as f64),
             ),
             (
                 "finetune_epochs".into(),
-                Json::num(cfg.budget.finetune_epochs as f64),
+                Json::Num(cfg.budget.finetune_epochs as f64),
             ),
             (
                 "rl_episodes".into(),
-                Json::num(cfg.budget.rl_episodes as f64),
+                Json::Num(cfg.budget.rl_episodes as f64),
             ),
             (
                 "rl_eval_images".into(),
-                Json::num(cfg.budget.rl_eval_images as f64),
+                Json::Num(cfg.budget.rl_eval_images as f64),
             ),
             ("checkpoint".into(), opt_path(&cfg.checkpoint)),
             ("compact".into(), Json::Bool(cfg.compact)),
-            ("workers".into(), Json::num(cfg.workers as f64)),
+            ("workers".into(), Json::Num(cfg.workers as f64)),
             ("artifact".into(), opt_path(&cfg.artifact)),
             ("telemetry".into(), opt_path(&cfg.telemetry)),
             ("metrics".into(), opt_path(&cfg.metrics)),
@@ -212,42 +210,42 @@ impl Journal {
             .units
             .iter()
             .map(|u| {
-                Json::Obj(vec![
-                    ("ordinal".into(), Json::num(u.ordinal as f64)),
-                    ("conv_node".into(), Json::num(u.conv_node as f64)),
-                    ("maps_before".into(), Json::num(u.maps_before as f64)),
+                Json::obj(vec![
+                    ("ordinal".into(), Json::Num(u.ordinal as f64)),
+                    ("conv_node".into(), Json::Num(u.conv_node as f64)),
+                    ("maps_before".into(), Json::Num(u.maps_before as f64)),
                     (
                         "keep".into(),
-                        Json::Arr(u.keep.iter().map(|&k| Json::num(k as f64)).collect()),
+                        Json::Arr(u.keep.iter().map(|&k| Json::Num(k as f64)).collect()),
                     ),
                     (
                         "inception_accuracy".into(),
-                        Json::num(f64::from(u.inception_accuracy)),
+                        Json::Num(f64::from(u.inception_accuracy)),
                     ),
                     (
                         "finetuned_accuracy".into(),
-                        Json::num(f64::from(u.finetuned_accuracy)),
+                        Json::Num(f64::from(u.finetuned_accuracy)),
                     ),
-                    ("params_after".into(), hex(u.params_after)),
-                    ("flops_after".into(), hex(u.flops_after)),
+                    ("params_after".into(), Json::hex(u.params_after)),
+                    ("flops_after".into(), Json::hex(u.flops_after)),
                     ("checkpoint".into(), Json::str(u.checkpoint.clone())),
                     ("rng_after".into(), snapshot_to_json(&u.rng_after)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::num(JOURNAL_VERSION as f64)),
+        Json::obj(vec![
+            ("version".into(), Json::Num(JOURNAL_VERSION as f64)),
             ("config".into(), config),
             ("stage".into(), Json::str(self.stage.as_str())),
             (
                 "original_accuracy".into(),
-                Json::num(f64::from(self.original_accuracy)),
+                Json::Num(f64::from(self.original_accuracy)),
             ),
             ("units".into(), Json::Arr(units)),
             (
                 "final_accuracy".into(),
                 match self.final_accuracy {
-                    Some(a) => Json::num(f64::from(a)),
+                    Some(a) => Json::Num(f64::from(a)),
                     None => Json::Null,
                 },
             ),
@@ -259,52 +257,51 @@ impl Journal {
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
-    pub fn from_json(value: &schema::Json) -> Result<Journal, String> {
+    pub fn from_json(value: &Json) -> Result<Journal, String> {
         let obj = value.as_obj().ok_or("journal is not a JSON object")?;
-        let version = num(obj, "version")? as u64;
+        let version = obj.num("version")? as u64;
         if version != JOURNAL_VERSION {
             return Err(format!("unsupported journal version {version}"));
         }
         let cfg_obj = obj
             .get("config")
-            .and_then(schema::Json::as_obj)
+            .and_then(Json::as_obj)
             .ok_or("missing `config` object")?;
 
-        let mut cfg = RunnerConfig::new(str_field(cfg_obj, "label")?);
-        cfg.data = DataChoice::parse(&str_field(cfg_obj, "data")?).map_err(|e| e.to_string())?;
-        cfg.model =
-            ModelChoice::parse(&str_field(cfg_obj, "model")?, num(cfg_obj, "width")? as f32)
-                .map_err(|e| e.to_string())?;
+        let mut cfg = RunnerConfig::new(cfg_obj.str("label")?);
+        cfg.data = DataChoice::parse(cfg_obj.str("data")?).map_err(|e| e.to_string())?;
+        cfg.model = ModelChoice::parse(cfg_obj.str("model")?, cfg_obj.num("width")? as f32)
+            .map_err(|e| e.to_string())?;
         cfg.method = Method::parse(
-            &str_field(cfg_obj, "method")?,
-            num(cfg_obj, "sp")? as f32,
-            num(cfg_obj, "keep")? as f32,
+            cfg_obj.str("method")?,
+            cfg_obj.num("sp")? as f32,
+            cfg_obj.num("keep")? as f32,
         )
         .map_err(|e| e.to_string())?;
-        cfg.seed = hex_field(cfg_obj, "seed")?;
-        cfg.prune_seed = hex_field(cfg_obj, "prune_seed")?;
-        cfg.budget.pretrain_epochs = num(cfg_obj, "pretrain_epochs")? as usize;
-        cfg.budget.finetune_epochs = num(cfg_obj, "finetune_epochs")? as usize;
-        cfg.budget.rl_episodes = num(cfg_obj, "rl_episodes")? as usize;
-        cfg.budget.rl_eval_images = num(cfg_obj, "rl_eval_images")? as usize;
-        cfg.checkpoint = opt_path_field(cfg_obj, "checkpoint")?;
+        cfg.seed = cfg_obj.hex("seed")?;
+        cfg.prune_seed = cfg_obj.hex("prune_seed")?;
+        cfg.budget.pretrain_epochs = cfg_obj.num("pretrain_epochs")? as usize;
+        cfg.budget.finetune_epochs = cfg_obj.num("finetune_epochs")? as usize;
+        cfg.budget.rl_episodes = cfg_obj.num("rl_episodes")? as usize;
+        cfg.budget.rl_eval_images = cfg_obj.num("rl_eval_images")? as usize;
+        cfg.checkpoint = cfg_obj.opt_str("checkpoint")?.map(PathBuf::from);
         // Absent in journals written before the compact stage existed.
         cfg.compact = match cfg_obj.get("compact") {
-            None | Some(schema::Json::Null) => false,
-            Some(schema::Json::Bool(b)) => *b,
+            None | Some(Json::Null) => false,
+            Some(Json::Bool(b)) => *b,
             Some(_) => return Err("`compact` is not a boolean".to_string()),
         };
         // Absent in journals written before sharded evaluation existed.
         cfg.workers = match cfg_obj.get("workers") {
-            None | Some(schema::Json::Null) => 1,
-            Some(schema::Json::Num(n)) if *n >= 1.0 => *n as usize,
+            None | Some(Json::Null) => 1,
+            Some(Json::Num(n)) if *n >= 1.0 => *n as usize,
             Some(_) => return Err("`workers` is not a positive number".to_string()),
         };
-        cfg.artifact = opt_path_field(cfg_obj, "artifact")?;
-        cfg.telemetry = opt_path_field(cfg_obj, "telemetry")?;
-        cfg.metrics = opt_path_field(cfg_obj, "metrics")?;
+        cfg.artifact = cfg_obj.opt_str("artifact")?.map(PathBuf::from);
+        cfg.telemetry = cfg_obj.opt_str("telemetry")?.map(PathBuf::from);
+        cfg.metrics = cfg_obj.opt_str("metrics")?.map(PathBuf::from);
         cfg.log_level = match cfg_obj.get("log_level") {
-            None | Some(schema::Json::Null) => None,
+            None | Some(Json::Null) => None,
             Some(v) => {
                 let name = v.as_str().ok_or("`log_level` is not a string")?;
                 Some(
@@ -314,15 +311,15 @@ impl Journal {
             }
         };
 
-        let stage = Stage::parse(&str_field(obj, "stage")?)?;
-        let original_accuracy = num(obj, "original_accuracy")? as f32;
+        let stage = Stage::parse(obj.str("stage")?)?;
+        let original_accuracy = obj.num("original_accuracy")? as f32;
         let final_accuracy = match obj.get("final_accuracy") {
-            None | Some(schema::Json::Null) => None,
+            None | Some(Json::Null) => None,
             Some(v) => Some(v.as_num().ok_or("`final_accuracy` is not a number")? as f32),
         };
 
         let units_arr = match obj.get("units") {
-            Some(schema::Json::Arr(items)) => items,
+            Some(Json::Arr(items)) => items,
             _ => return Err("missing `units` array".to_string()),
         };
         let mut units = Vec::with_capacity(units_arr.len());
@@ -331,7 +328,7 @@ impl Journal {
                 .as_obj()
                 .ok_or_else(|| format!("unit {i} is not an object"))?;
             let keep = match u.get("keep") {
-                Some(schema::Json::Arr(items)) => items
+                Some(Json::Arr(items)) => items
                     .iter()
                     .map(|k| {
                         k.as_num()
@@ -342,15 +339,15 @@ impl Journal {
                 _ => return Err(format!("unit {i}: missing `keep` array")),
             };
             let record = UnitRecord {
-                ordinal: num(u, "ordinal")? as usize,
-                conv_node: num(u, "conv_node")? as usize,
-                maps_before: num(u, "maps_before")? as usize,
+                ordinal: u.num("ordinal")? as usize,
+                conv_node: u.num("conv_node")? as usize,
+                maps_before: u.num("maps_before")? as usize,
                 keep,
-                inception_accuracy: num(u, "inception_accuracy")? as f32,
-                finetuned_accuracy: num(u, "finetuned_accuracy")? as f32,
-                params_after: hex_field(u, "params_after")?,
-                flops_after: hex_field(u, "flops_after")?,
-                checkpoint: str_field(u, "checkpoint")?,
+                inception_accuracy: u.num("inception_accuracy")? as f32,
+                finetuned_accuracy: u.num("finetuned_accuracy")? as f32,
+                params_after: u.hex("params_after")?,
+                flops_after: u.hex("flops_after")?,
+                checkpoint: u.str("checkpoint")?.to_string(),
                 rng_after: snapshot_from_json(
                     u.get("rng_after")
                         .ok_or_else(|| format!("unit {i}: missing `rng_after`"))?,
@@ -376,88 +373,38 @@ impl Journal {
     }
 }
 
-/// A u64 as a JSON hex string — JSON numbers are IEEE doubles and would
-/// silently round values above 2⁵³ (RNG state words use the full range).
-fn hex(v: u64) -> Json {
-    Json::str(format!("{v:#x}"))
-}
-
-fn parse_hex(s: &str) -> Result<u64, String> {
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("`{s}` is not a 0x-prefixed hex string"))?;
-    u64::from_str_radix(digits, 16).map_err(|_| format!("`{s}` is not a valid hex u64"))
-}
-
 fn snapshot_to_json(s: &RngSnapshot) -> Json {
-    Json::Obj(vec![
+    Json::obj(vec![
         (
             "state".into(),
-            Json::Arr(s.state.iter().map(|&w| hex(w)).collect()),
+            Json::Arr(s.state.iter().map(|&w| Json::hex(w)).collect()),
         ),
         (
             "gauss".into(),
             match s.gauss_cache {
-                Some(g) => Json::num(f64::from(g)),
+                Some(g) => Json::Num(f64::from(g)),
                 None => Json::Null,
             },
         ),
     ])
 }
 
-fn snapshot_from_json(value: &schema::Json) -> Result<RngSnapshot, String> {
+fn snapshot_from_json(value: &Json) -> Result<RngSnapshot, String> {
     let obj = value.as_obj().ok_or("`rng_after` is not an object")?;
     let words = match obj.get("state") {
-        Some(schema::Json::Arr(items)) if items.len() == 4 => items,
+        Some(Json::Arr(items)) if items.len() == 4 => items,
         _ => return Err("`state` is not a 4-element array".to_string()),
     };
     let mut state = [0u64; 4];
     for (slot, w) in state.iter_mut().zip(words) {
         let s = w.as_str().ok_or("`state` word is not a string")?;
-        *slot = parse_hex(s)?;
+        *slot = schema::parse_hex(s)?;
     }
     let gauss_cache = match obj.get("gauss") {
-        None | Some(schema::Json::Null) => None,
+        None | Some(Json::Null) => None,
         Some(v) => Some(v.as_num().ok_or("`gauss` is not a number")? as f32),
     };
     Ok(RngSnapshot { state, gauss_cache })
-}
-
-fn num(obj: &std::collections::BTreeMap<String, schema::Json>, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(schema::Json::as_num)
-        .ok_or_else(|| format!("missing numeric `{key}`"))
-}
-
-fn str_field(
-    obj: &std::collections::BTreeMap<String, schema::Json>,
-    key: &str,
-) -> Result<String, String> {
-    obj.get(key)
-        .and_then(schema::Json::as_str)
-        .map(String::from)
-        .ok_or_else(|| format!("missing string `{key}`"))
-}
-
-fn hex_field(
-    obj: &std::collections::BTreeMap<String, schema::Json>,
-    key: &str,
-) -> Result<u64, String> {
-    let s = str_field(obj, key)?;
-    parse_hex(&s).map_err(|e| format!("`{key}`: {e}"))
-}
-
-fn opt_path_field(
-    obj: &std::collections::BTreeMap<String, schema::Json>,
-    key: &str,
-) -> Result<Option<PathBuf>, String> {
-    match obj.get(key) {
-        None | Some(schema::Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(PathBuf::from(s)))
-            .ok_or_else(|| format!("`{key}` is not a string")),
-    }
 }
 
 #[cfg(test)]

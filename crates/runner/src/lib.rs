@@ -10,9 +10,9 @@
 //! every artifact write is atomic, each pruned unit is checkpointed and
 //! journaled (see [`journal`]), and an interrupted run continues from
 //! its last completed unit with `hs_run --resume DIR` — bit-identical
-//! to the uninterrupted run. The [`faults`] module drives the
-//! deterministic fault-injection harness (`HS_FAULT`) the crash/resume
-//! tests are built on.
+//! to the uninterrupted run. The [`faults`] module turns the
+//! deterministic fault-injection harness (`HS_FAULT`) into the
+//! simulated crashes the crash/resume tests are built on.
 //!
 //! ```no_run
 //! use hs_runner::{run, RunnerConfig};
@@ -38,11 +38,11 @@ pub mod resume;
 pub use budget::Budget;
 pub use config::{BaselineKind, DataChoice, Method, ModelChoice, ModelKind, RunnerConfig};
 pub use error::RunnerError;
-pub use faults::{arm_from_env, crash_point, FAULT_ENV};
+pub use faults::crash_point;
 pub use journal::{Journal, Stage, UnitRecord, JOURNAL_FILE};
 pub use manifest::{ServeManifest, MANIFEST_FILE};
 pub use pipeline::{
     prepare, pretrain, run, CompactSummary, MethodRun, PipelineReport, Prepared, SingleLayerRun,
 };
-pub use report::{pct, write_json, Json, Phase, StageTiming};
+pub use report::{pct, Phase, StageTiming};
 pub use resume::{resume_run, COMPACT_CHECKPOINT, FINAL_CHECKPOINT, PRETRAINED_CHECKPOINT};

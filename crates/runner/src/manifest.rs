@@ -8,17 +8,16 @@
 //!
 //! Checkpoint paths are stored as written (the run directory's own
 //! files stay relative) and resolved against the manifest's directory
-//! on load, so a moved run directory still serves. Reading uses the
-//! workspace's own JSON parser ([`hs_telemetry::schema::parse`]);
-//! writing goes through the atomic writer like every other artifact.
+//! on load, so a moved run directory still serves. Reading and writing
+//! use the workspace's one JSON value ([`hs_telemetry::schema::Json`]);
+//! writes go through the atomic writer like every other artifact.
 
 use std::path::{Path, PathBuf};
 
-use hs_telemetry::schema;
+use hs_telemetry::schema::{self, Json};
 
 use crate::config::{DataChoice, ModelChoice};
 use crate::error::RunnerError;
-use crate::report::Json;
 
 /// File name of the serve manifest inside a run directory.
 pub const MANIFEST_FILE: &str = "serve.manifest.json";
@@ -75,8 +74,7 @@ impl ServeManifest {
     /// Propagates filesystem errors (site `artifact` for fault
     /// injection).
     pub fn save(&self, dir: &Path) -> Result<(), RunnerError> {
-        let bytes = self.to_json().render();
-        hs_telemetry::io::atomic_write_as(&ServeManifest::path(dir), "artifact", bytes.as_bytes())?;
+        hs_telemetry::io::write_json(ServeManifest::path(dir), &self.to_json())?;
         Ok(())
     }
 
@@ -140,31 +138,31 @@ impl ServeManifest {
     /// compact stage are byte-identical to pre-compaction ones.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("version".into(), Json::num(MANIFEST_VERSION as f64)),
+            ("version".into(), Json::Num(MANIFEST_VERSION as f64)),
             ("label".into(), Json::str(self.label.clone())),
             ("data".into(), Json::str(self.data.name())),
             ("model".into(), Json::str(self.model.name())),
-            ("width".into(), Json::num(f64::from(self.model.width))),
-            ("sp".into(), Json::num(f64::from(self.sp))),
+            ("width".into(), Json::Num(f64::from(self.model.width))),
+            ("sp".into(), Json::Num(f64::from(self.sp))),
             ("dense".into(), Json::str(self.dense.clone())),
             ("pruned".into(), Json::str(self.pruned.clone())),
             (
                 "dense_accuracy".into(),
-                Json::num(f64::from(self.dense_accuracy)),
+                Json::Num(f64::from(self.dense_accuracy)),
             ),
             (
                 "pruned_accuracy".into(),
-                Json::num(f64::from(self.pruned_accuracy)),
+                Json::Num(f64::from(self.pruned_accuracy)),
             ),
-            ("dense_params".into(), hex(self.dense_params)),
-            ("pruned_params".into(), hex(self.pruned_params)),
-            ("dense_flops".into(), hex(self.dense_flops)),
-            ("pruned_flops".into(), hex(self.pruned_flops)),
+            ("dense_params".into(), Json::hex(self.dense_params)),
+            ("pruned_params".into(), Json::hex(self.pruned_params)),
+            ("dense_flops".into(), Json::hex(self.dense_flops)),
+            ("pruned_flops".into(), Json::hex(self.pruned_flops)),
         ];
         if let Some(p) = &self.pruned_compact {
             fields.push(("pruned_compact".into(), Json::str(p.clone())));
         }
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 
     /// Parses a manifest from a JSON value.
@@ -172,36 +170,29 @@ impl ServeManifest {
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
-    pub fn from_json(value: &schema::Json) -> Result<ServeManifest, String> {
+    pub fn from_json(value: &Json) -> Result<ServeManifest, String> {
         let obj = value.as_obj().ok_or("manifest is not a JSON object")?;
-        let version = num(obj, "version")? as u64;
+        let version = obj.num("version")? as u64;
         if version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {version}"));
         }
         Ok(ServeManifest {
-            label: str_field(obj, "label")?,
-            data: DataChoice::parse(&str_field(obj, "data")?).map_err(|e| e.to_string())?,
-            model: ModelChoice::parse(&str_field(obj, "model")?, num(obj, "width")? as f32)
+            label: obj.str("label")?.to_string(),
+            data: DataChoice::parse(obj.str("data")?).map_err(|e| e.to_string())?,
+            model: ModelChoice::parse(obj.str("model")?, obj.num("width")? as f32)
                 .map_err(|e| e.to_string())?,
-            sp: num(obj, "sp")? as f32,
-            dense: str_field(obj, "dense")?,
-            pruned: str_field(obj, "pruned")?,
-            dense_accuracy: num(obj, "dense_accuracy")? as f32,
-            pruned_accuracy: num(obj, "pruned_accuracy")? as f32,
-            dense_params: hex_field(obj, "dense_params")?,
-            pruned_params: hex_field(obj, "pruned_params")?,
-            dense_flops: hex_field(obj, "dense_flops")?,
-            pruned_flops: hex_field(obj, "pruned_flops")?,
+            sp: obj.num("sp")? as f32,
+            dense: obj.str("dense")?.to_string(),
+            pruned: obj.str("pruned")?.to_string(),
+            dense_accuracy: obj.num("dense_accuracy")? as f32,
+            pruned_accuracy: obj.num("pruned_accuracy")? as f32,
+            dense_params: obj.hex("dense_params")?,
+            pruned_params: obj.hex("pruned_params")?,
+            dense_flops: obj.hex("dense_flops")?,
+            pruned_flops: obj.hex("pruned_flops")?,
             // Optional: absent in manifests written before the compact
             // stage existed (still version 1).
-            pruned_compact: match obj.get("pruned_compact") {
-                None | Some(schema::Json::Null) => None,
-                Some(v) => Some(
-                    v.as_str()
-                        .map(String::from)
-                        .ok_or("`pruned_compact` is not a string")?,
-                ),
-            },
+            pruned_compact: obj.opt_str("pruned_compact")?.map(String::from),
         })
     }
 }
@@ -213,43 +204,6 @@ fn resolve(dir: &Path, stored: &str) -> PathBuf {
     } else {
         dir.join(p)
     }
-}
-
-/// A u64 as a JSON hex string, matching the run journal's convention
-/// (JSON numbers are doubles and would round above 2⁵³).
-fn hex(v: u64) -> Json {
-    Json::str(format!("{v:#x}"))
-}
-
-fn parse_hex(s: &str) -> Result<u64, String> {
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("`{s}` is not a 0x-prefixed hex string"))?;
-    u64::from_str_radix(digits, 16).map_err(|_| format!("`{s}` is not a valid hex u64"))
-}
-
-fn num(obj: &std::collections::BTreeMap<String, schema::Json>, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(schema::Json::as_num)
-        .ok_or_else(|| format!("missing numeric `{key}`"))
-}
-
-fn str_field(
-    obj: &std::collections::BTreeMap<String, schema::Json>,
-    key: &str,
-) -> Result<String, String> {
-    obj.get(key)
-        .and_then(schema::Json::as_str)
-        .map(String::from)
-        .ok_or_else(|| format!("missing string `{key}`"))
-}
-
-fn hex_field(
-    obj: &std::collections::BTreeMap<String, schema::Json>,
-    key: &str,
-) -> Result<u64, String> {
-    let s = str_field(obj, key)?;
-    parse_hex(&s).map_err(|e| format!("`{key}`: {e}"))
 }
 
 #[cfg(test)]

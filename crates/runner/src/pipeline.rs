@@ -19,13 +19,15 @@ use hs_pruning::driver::{
     prune_whole_model, train_from_scratch, FineTune, LayerTrace, PruneOutcome,
 };
 use hs_pruning::ScoreContext;
+use hs_telemetry::io::write_json;
+use hs_telemetry::schema::Json;
 use hs_telemetry::{Event, EventKind, Level, TelemetryConfig};
 use hs_tensor::Rng;
 
 use crate::budget::Budget;
 use crate::config::{BaselineKind, Method, RunnerConfig};
 use crate::error::RunnerError;
-use crate::report::{write_json, Json, Phase, StageTiming};
+use crate::report::{Phase, StageTiming};
 
 /// How many scoring images baseline criteria see in single-layer runs —
 /// the same class-balanced subset size the whole-model driver uses.
@@ -475,13 +477,13 @@ pub struct CompactSummary {
 impl CompactSummary {
     /// Renders the summary as a JSON artifact fragment.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        Json::obj(vec![
             ("checkpoint".into(), Json::str(self.checkpoint.clone())),
-            ("params".into(), Json::num(self.params as f64)),
-            ("flops".into(), Json::num(self.flops as f64)),
-            ("target_speedup".into(), Json::num(self.target_speedup)),
-            ("achieved_speedup".into(), Json::num(self.achieved_speedup)),
-            ("units".into(), Json::num(self.units as f64)),
+            ("params".into(), Json::Num(self.params as f64)),
+            ("flops".into(), Json::Num(self.flops as f64)),
+            ("target_speedup".into(), Json::Num(self.target_speedup)),
+            ("achieved_speedup".into(), Json::Num(self.achieved_speedup)),
+            ("units".into(), Json::Num(self.units as f64)),
         ])
     }
 }
@@ -524,19 +526,19 @@ impl PipelineReport {
             .traces
             .iter()
             .map(|t| {
-                Json::Obj(vec![
-                    ("conv_ordinal".into(), Json::num(t.conv_ordinal as f64)),
-                    ("maps_before".into(), Json::num(t.maps_before as f64)),
-                    ("maps_after".into(), Json::num(t.maps_after as f64)),
-                    ("params_after".into(), Json::num(t.params_after as f64)),
-                    ("flops_after".into(), Json::num(t.flops_after as f64)),
+                Json::obj(vec![
+                    ("conv_ordinal".into(), Json::Num(t.conv_ordinal as f64)),
+                    ("maps_before".into(), Json::Num(t.maps_before as f64)),
+                    ("maps_after".into(), Json::Num(t.maps_after as f64)),
+                    ("params_after".into(), Json::Num(t.params_after as f64)),
+                    ("flops_after".into(), Json::Num(t.flops_after as f64)),
                     (
                         "inception_accuracy".into(),
-                        Json::num(f64::from(t.inception_accuracy)),
+                        Json::Num(f64::from(t.inception_accuracy)),
                     ),
                     (
                         "finetuned_accuracy".into(),
-                        Json::num(f64::from(t.finetuned_accuracy)),
+                        Json::Num(f64::from(t.finetuned_accuracy)),
                     ),
                 ])
             })
@@ -545,39 +547,39 @@ impl PipelineReport {
             .stages
             .iter()
             .map(|s| {
-                Json::Obj(vec![
+                Json::obj(vec![
                     ("name".into(), Json::str(s.name.clone())),
-                    ("seconds".into(), Json::num(s.seconds)),
+                    ("seconds".into(), Json::Num(s.seconds)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
+        Json::obj(vec![
             ("label".into(), Json::str(self.label.clone())),
             (
                 "original_accuracy".into(),
-                Json::num(f64::from(self.original_accuracy)),
+                Json::Num(f64::from(self.original_accuracy)),
             ),
             (
                 "final_accuracy".into(),
-                Json::num(f64::from(self.final_accuracy)),
+                Json::Num(f64::from(self.final_accuracy)),
             ),
             (
                 "original_params".into(),
-                Json::num(self.original_cost.total_params as f64),
+                Json::Num(self.original_cost.total_params as f64),
             ),
             (
                 "final_params".into(),
-                Json::num(self.final_cost.total_params as f64),
+                Json::Num(self.final_cost.total_params as f64),
             ),
             (
                 "original_flops".into(),
-                Json::num(self.original_cost.total_flops as f64),
+                Json::Num(self.original_cost.total_flops as f64),
             ),
             (
                 "final_flops".into(),
-                Json::num(self.final_cost.total_flops as f64),
+                Json::Num(self.final_cost.total_flops as f64),
             ),
-            ("compression_pct".into(), Json::num(self.compression_pct())),
+            ("compression_pct".into(), Json::Num(self.compression_pct())),
             ("layers".into(), Json::Arr(traces)),
             ("stages".into(), Json::Arr(stages)),
             (
@@ -586,11 +588,11 @@ impl PipelineReport {
                 // `pool_threads` the HS_NUM_THREADS-controlled tensor
                 // pool width this process actually ran with.
                 "execution".into(),
-                Json::Obj(vec![
-                    ("workers".into(), Json::num(self.workers as f64)),
+                Json::obj(vec![
+                    ("workers".into(), Json::Num(self.workers as f64)),
                     (
                         "pool_threads".into(),
-                        Json::num(hs_tensor::pool::effective_threads() as f64),
+                        Json::Num(hs_tensor::pool::effective_threads() as f64),
                     ),
                 ]),
             ),

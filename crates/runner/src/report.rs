@@ -1,9 +1,7 @@
 //! Reporting plumbing shared by every pipeline: phase stopwatches with
-//! recorded stage timings, percentage formatting, and a hand-rolled JSON
-//! value for run artifacts (the build is fully offline — no serde).
-
-use std::fmt::Write as _;
-use std::path::Path;
+//! recorded stage timings and percentage formatting. Run artifacts are
+//! [`hs_telemetry::schema::Json`] values written with
+//! [`hs_telemetry::io::write_json`].
 
 use hs_telemetry::{Event, EventKind, Level, Span};
 
@@ -69,130 +67,6 @@ impl Phase {
     }
 }
 
-/// A minimal JSON value — enough for run artifacts, nothing more.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number (non-finite renders as `null`).
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-    /// An ordered array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience: a string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Convenience: a numeric value.
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
-    /// Renders the value as pretty-printed JSON with a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    if *n == n.trunc() && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    pad(out, indent + 1);
-                    Json::Str(key.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    value.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// Writes a JSON artifact to disk atomically (tmp + fsync + rename), so
-/// a crash mid-write never leaves a truncated artifact behind.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (site `artifact` for fault injection).
-pub fn write_json(path: impl AsRef<Path>, value: &Json) -> std::io::Result<()> {
-    hs_telemetry::io::atomic_write_as(path.as_ref(), "artifact", value.render().as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,31 +74,6 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.7239), "72.39");
-    }
-
-    #[test]
-    fn json_renders_and_escapes() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::str("a \"quoted\"\nline")),
-            ("count".into(), Json::num(3.0)),
-            ("ratio".into(), Json::num(0.5)),
-            (
-                "items".into(),
-                Json::Arr(vec![Json::Bool(true), Json::Null]),
-            ),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        let s = v.render();
-        assert!(s.contains("\\\"quoted\\\"\\nline"));
-        assert!(s.contains("\"count\": 3"));
-        assert!(s.contains("\"ratio\": 0.5"));
-        assert!(s.contains("\"empty\": []"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn json_non_finite_is_null() {
-        assert_eq!(Json::Num(f64::NAN).render(), "null\n");
     }
 
     #[test]

@@ -35,6 +35,7 @@ use hs_nn::surgery::{conv_sites, prune_feature_maps};
 use hs_nn::{checkpoint, train, Network};
 use hs_pruning::driver::LayerTrace;
 use hs_pruning::ScoreContext;
+use hs_telemetry::io::write_json;
 use hs_telemetry::{Event, EventKind, Level, TelemetryConfig};
 use hs_tensor::Rng;
 
@@ -44,7 +45,7 @@ use crate::faults::crash_point;
 use crate::journal::{Journal, Stage, UnitRecord};
 use crate::manifest::ServeManifest;
 use crate::pipeline::{prepare, CompactSummary, PipelineReport, Prepared};
-use crate::report::{write_json, Phase, StageTiming};
+use crate::report::{Phase, StageTiming};
 
 /// File name of the pre-trained checkpoint inside a run directory
 /// (used when the config does not name its own checkpoint path).

@@ -17,12 +17,13 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hs_runner::report::{write_json, Json};
 use hs_runner::ServeManifest;
 use hs_serve::{
     load_with_retry, LoadSpec, ModelSlots, Outcome, Plan, RetryPolicy, ServeConfig, ServeEngine,
     ServeError, SlotKind,
 };
+use hs_telemetry::io::write_json;
+use hs_telemetry::schema::Json;
 use hs_telemetry::{Level, TelemetryConfig};
 use hs_tensor::Rng;
 
@@ -251,37 +252,37 @@ fn report_json(manifest: &ServeManifest, s: &hs_serve::ServeSummary, outcomes: &
         .iter()
         .filter(|o| matches!(o, Outcome::Completed(r) if r.model == SlotKind::Pruned))
         .count();
-    Json::Obj(vec![
+    Json::obj(vec![
         ("label".into(), Json::str(manifest.label.clone())),
-        ("submitted".into(), Json::num(s.submitted as f64)),
-        ("completed".into(), Json::num(s.completed as f64)),
-        ("completed_pruned".into(), Json::num(pruned_served as f64)),
+        ("submitted".into(), Json::Num(s.submitted as f64)),
+        ("completed".into(), Json::Num(s.completed as f64)),
+        ("completed_pruned".into(), Json::Num(pruned_served as f64)),
         (
             "rejected_queue_full".into(),
-            Json::num(s.rejected_queue_full as f64),
+            Json::Num(s.rejected_queue_full as f64),
         ),
         (
             "rejected_deadline_unmeetable".into(),
-            Json::num(s.rejected_unmeetable as f64),
+            Json::Num(s.rejected_unmeetable as f64),
         ),
         (
             "rejected_deadline_expired".into(),
-            Json::num(s.rejected_expired as f64),
+            Json::Num(s.rejected_expired as f64),
         ),
-        ("batches".into(), Json::num(s.batches as f64)),
-        ("batch_timeouts".into(), Json::num(s.batch_timeouts as f64)),
-        ("breaker_trips".into(), Json::num(s.breaker_trips as f64)),
-        ("degrades".into(), Json::num(s.degrades as f64)),
-        ("restores".into(), Json::num(s.restores as f64)),
+        ("batches".into(), Json::Num(s.batches as f64)),
+        ("batch_timeouts".into(), Json::Num(s.batch_timeouts as f64)),
+        ("breaker_trips".into(), Json::Num(s.breaker_trips as f64)),
+        ("degrades".into(), Json::Num(s.degrades as f64)),
+        ("restores".into(), Json::Num(s.restores as f64)),
         (
             "mean_latency_micros".into(),
-            Json::num((mean_latency * 1e3).round() / 1e3),
+            Json::Num((mean_latency * 1e3).round() / 1e3),
         ),
         (
             "max_latency_micros".into(),
-            Json::num(s.max_latency_micros as f64),
+            Json::Num(s.max_latency_micros as f64),
         ),
-        ("slo_burns".into(), Json::num(s.slo_burns as f64)),
+        ("slo_burns".into(), Json::Num(s.slo_burns as f64)),
     ])
 }
 
@@ -291,7 +292,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::SUCCESS;
     }
-    if let Err(e) = hs_runner::arm_from_env() {
+    if let Err(e) = hs_telemetry::faults::arm_from_env() {
         eprintln!("hs_serve: {e}");
         return ExitCode::FAILURE;
     }

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use hs_runner::report::{write_json, Json};
-use hs_telemetry::schema;
+use hs_telemetry::io::write_json;
+use hs_telemetry::schema::{self, Json, Obj};
 use hs_tensor::Rng;
 
 use crate::engine::ServeEngine;
@@ -189,17 +189,17 @@ impl LoadSpec {
 
     /// Renders a closed-loop spec as a JSON value.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::num(PROFILE_VERSION as f64)),
+        Json::obj(vec![
+            ("version".into(), Json::Num(PROFILE_VERSION as f64)),
             ("mode".into(), Json::str("closed")),
-            ("seed".into(), Json::str(format!("{:#x}", self.seed))),
-            ("requests".into(), Json::num(self.requests as f64)),
-            ("gap".into(), Json::num(self.gap as f64)),
-            ("deadline".into(), Json::num(self.deadline as f64)),
-            ("concurrency".into(), Json::num(self.concurrency as f64)),
-            ("think".into(), Json::num(self.think as f64)),
-            ("classes".into(), Json::num(self.classes as f64)),
-            ("tenants".into(), Json::num(self.tenants as f64)),
+            ("seed".into(), Json::hex(self.seed)),
+            ("requests".into(), Json::Num(self.requests as f64)),
+            ("gap".into(), Json::Num(self.gap as f64)),
+            ("deadline".into(), Json::Num(self.deadline as f64)),
+            ("concurrency".into(), Json::Num(self.concurrency as f64)),
+            ("think".into(), Json::Num(self.think as f64)),
+            ("classes".into(), Json::Num(self.classes as f64)),
+            ("tenants".into(), Json::Num(self.tenants as f64)),
         ])
     }
 
@@ -218,31 +218,20 @@ impl LoadSpec {
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
-    pub fn from_json(value: &schema::Json) -> Result<LoadSpec, String> {
+    pub fn from_json(value: &Json) -> Result<LoadSpec, String> {
         let obj = value.as_obj().ok_or("spec is not a JSON object")?;
-        let version = field_num(obj, "version")? as u64;
-        if version != PROFILE_VERSION {
-            return Err(format!("unsupported profile version {version}"));
-        }
-        let seed_str = obj
-            .get("seed")
-            .and_then(schema::Json::as_str)
-            .ok_or("missing string `seed`")?;
-        let seed = seed_str
-            .strip_prefix("0x")
-            .and_then(|d| u64::from_str_radix(d, 16).ok())
-            .ok_or_else(|| format!("`{seed_str}` is not a 0x-prefixed hex u64"))?;
+        let seed = plan_seed(obj)?;
         Ok(LoadSpec {
-            requests: field_num(obj, "requests")? as u64,
-            gap: field_num(obj, "gap")? as Micros,
-            deadline: field_num(obj, "deadline")? as Micros,
+            requests: obj.num("requests")? as u64,
+            gap: obj.num("gap")? as Micros,
+            deadline: obj.num("deadline")? as Micros,
             seed,
-            concurrency: field_num(obj, "concurrency")? as usize,
-            think: field_num(obj, "think")? as Micros,
+            concurrency: obj.num("concurrency")? as usize,
+            think: obj.num("think")? as Micros,
             // Absent in pre-class plans: everything is class 0.
-            classes: opt_field_num(obj, "classes").map_or(1, |n| (n as usize).max(1)),
+            classes: obj.opt_num("classes").map_or(1, |n| (n as usize).max(1)),
             // Absent in pre-tenant plans: everything is tenant 0.
-            tenants: opt_field_num(obj, "tenants").map_or(1, |n| (n as usize).max(1)),
+            tenants: obj.opt_num("tenants").map_or(1, |n| (n as usize).max(1)),
         })
     }
 }
@@ -273,7 +262,7 @@ impl Plan {
         let mode = value
             .as_obj()
             .and_then(|o| o.get("mode"))
-            .and_then(schema::Json::as_str)
+            .and_then(Json::as_str)
             .unwrap_or("open")
             .to_string();
         let plan = match mode.as_str() {
@@ -313,24 +302,24 @@ fn err_at(path: &Path) -> impl Fn(String) -> ServeError + '_ {
 impl LoadProfile {
     /// Renders the profile as a JSON value.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::num(PROFILE_VERSION as f64)),
+        Json::obj(vec![
+            ("version".into(), Json::Num(PROFILE_VERSION as f64)),
             ("mode".into(), Json::str("open")),
-            ("seed".into(), Json::str(format!("{:#x}", self.seed))),
-            ("tenants".into(), Json::num(self.tenants as f64)),
+            ("seed".into(), Json::hex(self.seed)),
+            ("tenants".into(), Json::Num(self.tenants as f64)),
             (
                 "entries".into(),
                 Json::Arr(
                     self.entries
                         .iter()
                         .map(|e| {
-                            Json::Obj(vec![
-                                ("id".into(), Json::num(e.id as f64)),
-                                ("at".into(), Json::num(e.at as f64)),
-                                ("deadline".into(), Json::num(e.deadline as f64)),
-                                ("sample".into(), Json::num(e.sample as f64)),
-                                ("class".into(), Json::num(e.class as f64)),
-                                ("tenant".into(), Json::num(e.tenant as f64)),
+                            Json::obj(vec![
+                                ("id".into(), Json::Num(e.id as f64)),
+                                ("at".into(), Json::Num(e.at as f64)),
+                                ("deadline".into(), Json::Num(e.deadline as f64)),
+                                ("sample".into(), Json::Num(e.sample as f64)),
+                                ("class".into(), Json::Num(e.class as f64)),
+                                ("tenant".into(), Json::Num(e.tenant as f64)),
                             ])
                         })
                         .collect(),
@@ -407,34 +396,23 @@ impl LoadProfile {
     /// # Errors
     ///
     /// Returns a description of the first structural problem.
-    pub fn from_json(value: &schema::Json) -> Result<LoadProfile, String> {
+    pub fn from_json(value: &Json) -> Result<LoadProfile, String> {
         let obj = value.as_obj().ok_or("profile is not a JSON object")?;
-        let version = field_num(obj, "version")? as u64;
-        if version != PROFILE_VERSION {
-            return Err(format!("unsupported profile version {version}"));
-        }
-        let seed_str = obj
-            .get("seed")
-            .and_then(schema::Json::as_str)
-            .ok_or("missing string `seed`")?;
-        let seed = seed_str
-            .strip_prefix("0x")
-            .and_then(|d| u64::from_str_radix(d, 16).ok())
-            .ok_or_else(|| format!("`{seed_str}` is not a 0x-prefixed hex u64"))?;
+        let seed = plan_seed(obj)?;
         let entries = match obj.get("entries") {
-            Some(schema::Json::Arr(items)) => items
+            Some(Json::Arr(items)) => items
                 .iter()
                 .map(|item| {
                     let e = item.as_obj().ok_or("entry is not a JSON object")?;
                     Ok(ProfileEntry {
-                        id: field_num(e, "id")? as u64,
-                        at: field_num(e, "at")? as Micros,
-                        deadline: field_num(e, "deadline")? as Micros,
-                        sample: field_num(e, "sample")? as usize,
+                        id: e.num("id")? as u64,
+                        at: e.num("at")? as Micros,
+                        deadline: e.num("deadline")? as Micros,
+                        sample: e.num("sample")? as usize,
                         // Absent in pre-class profiles: class 0.
-                        class: opt_field_num(e, "class").map_or(0, |n| n as usize),
+                        class: e.opt_num("class").map_or(0, |n| n as usize),
                         // Absent in pre-tenant profiles: tenant 0.
-                        tenant: opt_field_num(e, "tenant").map_or(0, |n| n as usize),
+                        tenant: e.opt_num("tenant").map_or(0, |n| n as usize),
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -443,7 +421,7 @@ impl LoadProfile {
         Ok(LoadProfile {
             seed,
             // Absent in pre-tenant profiles: a single tenant.
-            tenants: opt_field_num(obj, "tenants").map_or(1, |n| (n as usize).max(1)),
+            tenants: obj.opt_num("tenants").map_or(1, |n| (n as usize).max(1)),
             entries,
         })
     }
@@ -459,14 +437,14 @@ fn entry_line(raw: &str, index: usize) -> usize {
         .map_or(1, |(pos, _)| raw[..pos].matches('\n').count() + 1)
 }
 
-fn field_num(obj: &BTreeMap<String, schema::Json>, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(schema::Json::as_num)
-        .ok_or_else(|| format!("missing numeric `{key}`"))
-}
-
-fn opt_field_num(obj: &BTreeMap<String, schema::Json>, key: &str) -> Option<f64> {
-    obj.get(key).and_then(schema::Json::as_num)
+/// The version check and `0x`-hex seed every plan starts with.
+fn plan_seed(obj: &Obj) -> Result<u64, String> {
+    let version = obj.num("version")? as u64;
+    if version != PROFILE_VERSION {
+        return Err(format!("unsupported profile version {version}"));
+    }
+    let seed = obj.str("seed")?;
+    schema::parse_hex(seed).map_err(|_| format!("`{seed}` is not a 0x-prefixed hex u64"))
 }
 
 /// Replays an open-loop profile against the engine: tick to each
@@ -619,6 +597,23 @@ mod tests {
         assert_eq!(LoadProfile::load(&path).unwrap(), profile);
         assert_eq!(Plan::load(&path).unwrap(), Plan::Open(profile));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn large_plans_save_and_load_in_linear_time() {
+        let profile = LoadSpec {
+            requests: 16_000,
+            tenants: 4,
+            ..LoadSpec::default()
+        }
+        .open_profile();
+        let path = std::env::temp_dir().join(format!("hs-large-plan-{}.json", std::process::id()));
+        let start = std::time::Instant::now();
+        profile.save(&path).unwrap();
+        assert_eq!(LoadProfile::load(&path).unwrap(), profile);
+        let secs = start.elapsed().as_secs_f64();
+        std::fs::remove_file(&path).unwrap();
+        assert!(secs < 2.0, "a 16 000-entry plan took {secs:.2} s");
     }
 
     #[test]

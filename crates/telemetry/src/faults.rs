@@ -11,10 +11,9 @@
 //! HS_FAULT=io_error:checkpoint:2,kill_after:prune_unit:1
 //! ```
 //!
-//! (the `HS_FAULT` environment variable is parsed and armed by
-//! `hs-runner`; this module only owns the registry so lower layers —
-//! atomic file IO, the episode engine — can consult it without a
-//! dependency on the runner).
+//! (every binary arms the `HS_FAULT` environment variable at startup
+//! with [`arm_from_env`]; the registry lives this low so atomic file
+//! IO, the episode engine and the serving stack can all consult it).
 //!
 //! The registry is disarmed by default and gated behind one relaxed
 //! atomic load, so production call sites pay nothing. Hit counting is
@@ -409,6 +408,29 @@ pub fn arm(plan: FaultPlan) {
         })
         .collect();
     ARMED.store(!guard.is_empty(), Ordering::Relaxed);
+}
+
+/// Environment variable holding the fault plan (`kind:site[:n]`,
+/// comma-separated).
+pub const FAULT_ENV: &str = "HS_FAULT";
+
+/// Arms the fault plan from the `HS_FAULT` environment variable, if
+/// set. With the variable unset or empty this is a no-op (and disarms
+/// nothing already armed programmatically).
+///
+/// # Errors
+///
+/// `HS_FAULT: <cause>` when the variable is set but malformed — a typo
+/// in a fault plan should fail loudly, not silently run without faults.
+pub fn arm_from_env() -> Result<(), String> {
+    let Ok(spec) = std::env::var(FAULT_ENV) else {
+        return Ok(());
+    };
+    if spec.trim().is_empty() {
+        return Ok(());
+    }
+    arm(FaultPlan::parse(&spec).map_err(|e| format!("{FAULT_ENV}: {e}"))?);
+    Ok(())
 }
 
 /// Disarms all faults. Safe to call when nothing is armed.

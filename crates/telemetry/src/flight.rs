@@ -214,6 +214,9 @@ mod tests {
 
     #[test]
     fn trigger_while_disarmed_is_a_no_op() {
+        // The recorder is process-global: without the lock this disarm
+        // can land between the other test's arm and trigger.
+        let _guard = crate::faults::test_lock();
         disarm();
         trigger("nobody_listening");
         assert!(!armed());

@@ -30,6 +30,7 @@ use std::thread;
 use std::time::Duration;
 
 use crate::faults;
+use crate::schema::Json;
 
 /// Maximum write attempts before a transient error is surfaced.
 const MAX_ATTEMPTS: u32 = 3;
@@ -46,6 +47,16 @@ const BASE_BACKOFF_MS: u64 = 10;
 /// retry budget, or immediately for non-transient failures.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     atomic_write_as(path, "artifact", bytes)
+}
+
+/// Atomically writes `value` as pretty JSON with a trailing newline,
+/// under the fault site `"artifact"`.
+///
+/// # Errors
+///
+/// As [`atomic_write`].
+pub fn write_json(path: impl AsRef<Path>, value: &Json) -> io::Result<()> {
+    atomic_write(path.as_ref(), value.render().as_bytes())
 }
 
 /// As [`atomic_write`], with an explicit fault-injection site name

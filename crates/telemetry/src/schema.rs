@@ -1,16 +1,28 @@
-//! Schema validation for the JSONL event stream: a minimal JSON parser
-//! (no external dependencies — the workspace builds fully offline) plus
-//! [`validate_line`], used by the test suite and the `telemetry_lint`
-//! CI binary to check emitted traces against schema version 1.
-
-use std::collections::BTreeMap;
+//! The workspace's one JSON value (no external dependencies — the
+//! workspace builds fully offline) plus [`validate_line`], used by the
+//! test suite and the `telemetry_lint` CI binary to check emitted
+//! traces against schema version 1.
+//!
+//! [`Json`] keeps object keys in document (or insertion) order, so a
+//! parsed file re-renders byte for byte. It renders two forms: the
+//! pretty form ([`Json::render`]) of every on-disk artifact — run
+//! journals, serve manifests, load plans, `BENCH_kernels.json` — and
+//! the compact form ([`Json::render_compact`]) of `hs_obs report
+//! --json` and the chaos reports. The JSONL event stream has its own
+//! direct writer ([`crate::Event::to_json_line`]); all three share one
+//! string escaper and one number writer.
 
 use crate::event::EventKind;
 use crate::event::SCHEMA_VERSION;
+use crate::event::{write_json_num, write_json_str};
 use crate::level::Level;
 
-/// A parsed JSON value. Only what the event schema needs: objects keep
-/// sorted keys, numbers are `f64`.
+/// The deepest nesting [`parse`] accepts. Files the workspace writes
+/// nest about five levels; the cap turns a hostile `[[[[…` into an
+/// error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// A JSON value. Numbers are `f64`; objects keep their key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -23,12 +35,33 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object (key order not preserved; the schema's key *order* is
-    /// checked on the raw line, not the parsed value).
-    Obj(BTreeMap<String, Json>),
+    /// An object.
+    Obj(Obj),
 }
 
+/// A JSON object: key/value pairs in document (or insertion) order.
+/// Lookups scan from the back, so with duplicate keys the last wins.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Obj(Vec<(String, Json)>);
+
 impl Json {
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// An object with the given key order.
+    pub fn obj(pairs: Vec<(String, Json)>) -> Json {
+        Json::Obj(Obj(pairs))
+    }
+
+    /// A u64 as a `0x`-prefixed hex string: JSON numbers are doubles
+    /// and would silently round values above 2⁵³ (RNG state words and
+    /// seeds use the full range). Read back with [`Obj::hex`].
+    pub fn hex(v: u64) -> Json {
+        Json::Str(format!("{v:#x}"))
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -46,175 +79,345 @@ impl Json {
     }
 
     /// The object payload, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+    pub fn as_obj(&self) -> Option<&Obj> {
         match self {
-            Json::Obj(m) => Some(m),
+            Json::Obj(o) => Some(o),
             _ => None,
+        }
+    }
+
+    /// The pretty form, with a trailing newline: two-space indents,
+    /// `"key": value`, and non-finite numbers as `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// The compact form: no whitespace between tokens, and non-finite
+    /// numbers as the string `"inf"` (burn rates with a zero error
+    /// budget land there).
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Writes the value at `indent` levels of the pretty form, or
+    /// compactly when `indent` is `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if indent.is_none() && !n.is_finite() => out.push_str("\"inf\""),
+            Json::Num(n) => write_json_num(out, *n),
+            Json::Str(s) => write_json_str(out, s),
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
+                item.write(out, inner);
+            }),
+            Json::Obj(obj) => write_seq(
+                out,
+                indent,
+                ('{', '}'),
+                &obj.0,
+                |out, (key, value), inner| {
+                    write_json_str(out, key);
+                    out.push_str(if inner.is_some() { ": " } else { ":" });
+                    value.write(out, inner);
+                },
+            ),
         }
     }
 }
 
-/// Parses one JSON value from `input` (which must contain nothing else).
+/// Writes `items` between `open` and `close`, one per line in the
+/// pretty form; empty sequences stay on one line in both forms.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    write_item: impl Fn(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = indent.map(|depth| depth + 1);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, inner);
+        write_item(out, item, inner);
+    }
+    if !items.is_empty() {
+        newline(out, indent);
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+    }
+}
+
+impl Obj {
+    /// The value under `key` (the last one, if the key repeats).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The pairs in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (String, Json)> {
+        self.0.iter()
+    }
+
+    /// The number under `key`.
+    ///
+    /// # Errors
+    ///
+    /// `missing numeric `key`` when absent or not a number.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_num)
+            .ok_or_else(|| format!("missing numeric `{key}`"))
+    }
+
+    /// The number under `key`, if present and a number.
+    pub fn opt_num(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(Json::as_num)
+    }
+
+    /// The string under `key`.
+    ///
+    /// # Errors
+    ///
+    /// `missing string `key`` when absent or not a string.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string `{key}`"))
+    }
+
+    /// The string under `key`; absent and `null` read as `None`.
+    ///
+    /// # Errors
+    ///
+    /// `` `key` is not a string`` for any other value.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` is not a string")),
+        }
+    }
+
+    /// The u64 under `key`, stored as a [`Json::hex`] string.
+    ///
+    /// # Errors
+    ///
+    /// Names the key and the [`parse_hex`] failure.
+    pub fn hex(&self, key: &str) -> Result<u64, String> {
+        parse_hex(self.str(key)?).map_err(|e| format!("`{key}`: {e}"))
+    }
+}
+
+impl<'a> IntoIterator for &'a Obj {
+    type Item = &'a (String, Json);
+    type IntoIter = std::slice::Iter<'a, (String, Json)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Parses a `0x`-prefixed hex u64, the form [`Json::hex`] writes.
+///
+/// # Errors
+///
+/// Says whether the prefix or the digits are wrong.
+pub fn parse_hex(s: &str) -> Result<u64, String> {
+    let digits = s
+        .strip_prefix("0x")
+        .ok_or_else(|| format!("`{s}` is not a 0x-prefixed hex string"))?;
+    u64::from_str_radix(digits, 16).map_err(|_| format!("`{s}` is not a valid hex u64"))
+}
+
+/// Parses one JSON value from `input` (which must contain nothing
+/// else). Objects keep their document order. Runs in time linear in
+/// the input and rejects nesting deeper than 128 levels.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+    let mut parser = Parser {
+        src: input,
+        pos: 0,
+        depth: 0,
+    };
+    let value = parser.value()?;
+    parser.skip_ws();
+    if parser.pos != input.len() {
+        return Err(format!("trailing data at byte {}", parser.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Recursive-descent state. `pos` only ever advances past ASCII bytes
+/// or whole string runs, so it always sits on a character boundary.
+struct Parser<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self
+                .seq(b'}', Parser::entry)
+                .map(|pairs| Json::Obj(Obj(pairs))),
+            Some(b'[') => self.seq(b']', Parser::value).map(Json::Arr),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
+        }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.src[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.pos += 1; // the opening quote
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or escape in one go.
+            let rest = &self.src[self.pos..];
+            let run = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "bad utf8 in \\u".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        // Surrogates never appear in our own output; map
-                        // them to U+FFFD rather than decoding pairs.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                    self.pos += 4;
+                    // Surrogates never appear in our own output; map
+                    // them to U+FFFD rather than decoding pairs.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "bad utf8 in string".to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+                _ => return Err(format!("bad escape at byte {}", self.pos)),
+            };
+            out.push(c);
+            self.pos += 1;
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
+    /// One `"key": value` pair of an object.
+    fn entry(&mut self) -> Result<(String, Json), String> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected object key at byte {}", self.pos));
         }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(format!("expected `:` at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok((key, self.value()?))
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+    /// The comma-separated items of an array or object, from its
+    /// opening bracket through `close`.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
         }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
+        self.depth += 1;
+        self.pos += 1; // the opening bracket
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        return Err(format!(
+                            "expected `,` or `{}` at byte {}",
+                            close as char, self.pos
+                        ))
+                    }
+                }
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 }
 
@@ -303,36 +506,23 @@ pub fn validate_line(line: &str) -> Result<(), String> {
     let value = parse(line)?;
     let obj = value.as_obj().ok_or("line is not a JSON object")?;
 
-    let schema = obj
-        .get("schema")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `schema`")?;
+    let schema = obj.num("schema")?;
     if schema != SCHEMA_VERSION as f64 {
         return Err(format!("unknown schema version {schema}"));
     }
 
-    let kind = obj
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing string `kind`")?;
+    let kind = obj.str("kind")?;
     if !EventKind::all().iter().any(|k| k.as_str() == kind) {
         return Err(format!("unknown kind `{kind}`"));
     }
 
-    let level = obj
-        .get("level")
-        .and_then(Json::as_str)
-        .ok_or("missing string `level`")?;
+    let level = obj.str("level")?;
     if Level::parse(level).is_none() {
         return Err(format!("unknown level `{level}`"));
     }
 
-    obj.get("name")
-        .and_then(Json::as_str)
-        .ok_or("missing string `name`")?;
-    obj.get("message")
-        .and_then(Json::as_str)
-        .ok_or("missing string `message`")?;
+    obj.str("name")?;
+    obj.str("message")?;
 
     let fields = obj
         .get("fields")
@@ -344,9 +534,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         }
     }
 
-    obj.get("ts")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `ts`")?;
+    obj.num("ts")?;
 
     if kind == "span" {
         obj.get("secs")
@@ -373,7 +561,7 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         _ => &[],
     };
     for field in required {
-        if !fields.contains_key(*field) {
+        if fields.get(field).is_none() {
             return Err(format!("{kind} event missing field `{field}`"));
         }
     }
@@ -390,20 +578,66 @@ mod tests {
         let v = parse(r#"{"a":[1,-2.5,true,null],"b":{"c":"x\n\"y\""}}"#).unwrap();
         let obj = v.as_obj().unwrap();
         assert_eq!(
-            obj["a"],
-            Json::Arr(vec![
+            obj.get("a"),
+            Some(&Json::Arr(vec![
                 Json::Num(1.0),
                 Json::Num(-2.5),
                 Json::Bool(true),
                 Json::Null
-            ])
+            ]))
         );
         assert_eq!(
-            obj["b"].as_obj().unwrap()["c"],
-            Json::Str("x\n\"y\"".into())
+            obj.get("b").and_then(Json::as_obj).and_then(|b| b.get("c")),
+            Some(&Json::str("x\n\"y\""))
         );
         assert!(parse("{").is_err());
         assert!(parse("{}extra").is_err());
+    }
+
+    #[test]
+    fn objects_keep_document_order_and_the_last_duplicate_wins() {
+        let text = r#"{"b":1,"a":[],"b":{"c":null}}"#;
+        let v = parse(text).unwrap();
+        let obj = v.as_obj().unwrap();
+        let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["b", "a", "b"]);
+        assert!(obj.get("b").and_then(Json::as_obj).is_some());
+        assert_eq!(v.render_compact(), text);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn typed_getters_name_the_key() {
+        let v = parse(r#"{"n":1,"s":"x","h":"0x1f","bad":"1f","none":null}"#).unwrap();
+        let obj = v.as_obj().unwrap();
+        assert_eq!(obj.num("n"), Ok(1.0));
+        assert_eq!(obj.num("s").unwrap_err(), "missing numeric `s`");
+        assert_eq!(obj.opt_num("s"), None);
+        assert_eq!(obj.str("s"), Ok("x"));
+        assert_eq!(obj.str("n").unwrap_err(), "missing string `n`");
+        assert_eq!(obj.hex("h"), Ok(31));
+        assert_eq!(
+            obj.hex("bad").unwrap_err(),
+            "`bad`: `1f` is not a 0x-prefixed hex string"
+        );
+        assert_eq!(
+            parse_hex("0xzz").unwrap_err(),
+            "`0xzz` is not a valid hex u64"
+        );
+        assert_eq!(obj.opt_str("none"), Ok(None));
+        assert_eq!(obj.opt_str("absent"), Ok(None));
+        assert_eq!(obj.opt_str("n").unwrap_err(), "`n` is not a string");
+        assert_eq!(Json::hex(u64::MAX).as_str(), Some("0xffffffffffffffff"));
     }
 
     #[test]

@@ -398,3 +398,165 @@ fn fault_plans_round_trip_through_their_spec() {
         assert_eq!(parsed.to_string(), spec, "seed {seed}: spec not canonical");
     }
 }
+
+/// Characters that stress the JSON string escaper and the parser's
+/// character walk: quotes, backslashes, control characters, multi-byte
+/// text and a solidus (accepted escaped or bare).
+const JSON_CHARS: [char; 16] = [
+    '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{8}', '\u{1f}', '/', 'a', 'Z', ' ', 'é', '✓', '😀',
+    '\u{2028}',
+];
+
+fn random_json_str(rng: &mut Rng) -> String {
+    (0..rng.below(6))
+        .map(|_| JSON_CHARS[rng.below(JSON_CHARS.len())])
+        .collect()
+}
+
+/// Integral, fractional, negative, ≥1e15 and arbitrary finite doubles.
+fn random_json_num(rng: &mut Rng) -> f64 {
+    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+    sign * match rng.below(4) {
+        0 => rng.below(10_000) as f64,
+        1 => f64::from(rng.uniform()) * 10f64.powi(rng.below(12) as i32 - 6),
+        2 => 1e15 * (1 + rng.below(1 << 20)) as f64,
+        _ => loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+fn random_json(rng: &mut Rng, depth: usize) -> headstart::telemetry::schema::Json {
+    use headstart::telemetry::schema::Json;
+    match rng.below(if depth == 0 { 4 } else { 6 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 1),
+        2 => Json::Num(random_json_num(rng)),
+        3 => Json::Str(random_json_str(rng)),
+        4 => Json::Arr(
+            (0..rng.below(4))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::obj(
+            (0..rng.below(4))
+                .map(|_| (random_json_str(rng), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Both renderings of a random tree parse back to the same tree.
+#[test]
+fn json_round_trips_through_both_renderings() {
+    use headstart::telemetry::schema::parse;
+    for seed in 0..CASES * 4 {
+        let mut rng = Rng::seed_from(seed);
+        let value = random_json(&mut rng, 4);
+        for text in [value.render(), value.render_compact()] {
+            let back = parse(&text).unwrap_or_else(|e| panic!("seed {seed}: {e} in {text}"));
+            assert_eq!(back, value, "seed {seed}: {text}");
+        }
+    }
+}
+
+/// Flipped, truncated and inserted bytes make the parser and the
+/// JSONL validator return an error or a value — never panic.
+#[test]
+fn mutated_json_never_panics_the_parser() {
+    use headstart::telemetry::schema::{parse, validate_line};
+    use headstart::telemetry::{Event, EventKind, Level};
+    const SIGNIFICANT: &[u8] = b"{}[]\",:\\-.0123456789eEtfnu \n";
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        let value = random_json(&mut rng, 4);
+        let line = Event::new(EventKind::Episode, Level::Debug, "conv:0")
+            .message(random_json_str(&mut rng))
+            .field("reward", random_json_num(&mut rng))
+            .to_json_line();
+        for text in [value.render(), value.render_compact(), line] {
+            for _ in 0..32 {
+                let mut bytes = text.clone().into_bytes();
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(3) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes.truncate(at),
+                    _ => bytes.insert(at, SIGNIFICANT[rng.below(SIGNIFICANT.len())]),
+                }
+                let mutated = String::from_utf8_lossy(&bytes);
+                let _ = parse(&mutated);
+                let _ = validate_line(&mutated);
+            }
+        }
+    }
+}
+
+/// The committed benchmark file parses and re-renders byte for byte
+/// (objects keep their document order).
+#[test]
+fn committed_bench_file_re_renders_byte_for_byte() {
+    let text = include_str!("../BENCH_kernels.json");
+    let value = headstart::telemetry::schema::parse(text).expect("BENCH_kernels.json parses");
+    assert_eq!(value.render(), text);
+}
+
+/// One fixed value pinned in both renderings, as the pretty artifact
+/// writer and the compact report writer printed it before they became
+/// one type.
+#[test]
+fn json_renderings_match_the_pinned_golden_strings() {
+    use headstart::telemetry::schema::Json;
+    let value = Json::obj(vec![
+        (
+            "name".into(),
+            Json::str("golden \"quoted\" \\ path\n\ttab\u{1}ctl é ✓"),
+        ),
+        ("int".into(), Json::Num(42.0)),
+        ("neg".into(), Json::Num(-7.0)),
+        ("frac".into(), Json::Num(0.1)),
+        ("negfrac".into(), Json::Num(-2.5e-7)),
+        ("big".into(), Json::Num(1e15)),
+        ("huge".into(), Json::Num(1.5e17)),
+        ("inf".into(), Json::Num(f64::INFINITY)),
+        ("empty_arr".into(), Json::Arr(vec![])),
+        ("empty_obj".into(), Json::obj(vec![])),
+        (
+            "nested".into(),
+            Json::Arr(vec![
+                Json::obj(vec![(
+                    "k".into(),
+                    Json::Arr(vec![Json::Num(1.0), Json::str("x")]),
+                )]),
+                Json::Arr(vec![]),
+            ]),
+        ),
+    ]);
+    let pretty = r#"{
+  "name": "golden \"quoted\" \\ path\n\ttab\u0001ctl é ✓",
+  "int": 42,
+  "neg": -7,
+  "frac": 0.1,
+  "negfrac": -0.00000025,
+  "big": 1000000000000000,
+  "huge": 150000000000000000,
+  "inf": null,
+  "empty_arr": [],
+  "empty_obj": {},
+  "nested": [
+    {
+      "k": [
+        1,
+        "x"
+      ]
+    },
+    []
+  ]
+}
+"#;
+    let compact = r#"{"name":"golden \"quoted\" \\ path\n\ttab\u0001ctl é ✓","int":42,"neg":-7,"frac":0.1,"negfrac":-0.00000025,"big":1000000000000000,"huge":150000000000000000,"inf":"inf","empty_arr":[],"empty_obj":{},"nested":[{"k":[1,"x"]},[]]}"#;
+    assert_eq!(value.render(), pretty);
+    assert_eq!(value.render_compact(), compact);
+}
