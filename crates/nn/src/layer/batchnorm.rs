@@ -106,8 +106,9 @@ impl BatchNorm2d {
         let (b, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let per_channel = b * h * w;
         let plane = h * w;
-        let mut out = input.clone();
-        let mut x_hat = Tensor::zeros(shape.clone());
+        let mut out = Tensor::zeros(shape.clone());
+        // Only the backward pass reads `x_hat`, so inference never builds it.
+        let mut x_hat = train.then(|| Tensor::zeros(shape.clone()));
         let mut inv_stds = vec![0.0f32; c];
         #[allow(clippy::needless_range_loop)] // `ch` also derives plane offsets
         for ch in 0..c {
@@ -140,23 +141,28 @@ impl BatchNorm2d {
             let g = self.gamma.value.data()[ch];
             let be = self.beta.value.data()[ch];
             for bi in 0..b {
-                let base = (bi * c + ch) * plane;
-                for i in base..base + plane {
-                    let xh = (input.data()[i] - mean) * inv_std;
-                    x_hat.data_mut()[i] = xh;
-                    out.data_mut()[i] = g * xh + be;
+                let span = (bi * c + ch) * plane..(bi * c + ch + 1) * plane;
+                let src = &input.data()[span.clone()];
+                let dst = &mut out.data_mut()[span.clone()];
+                if let Some(x_hat) = &mut x_hat {
+                    let xh_dst = &mut x_hat.data_mut()[span];
+                    for ((o, xh_slot), &x) in dst.iter_mut().zip(xh_dst).zip(src) {
+                        let xh = (x - mean) * inv_std;
+                        *xh_slot = xh;
+                        *o = g * xh + be;
+                    }
+                } else {
+                    for (o, &x) in dst.iter_mut().zip(src) {
+                        *o = g * ((x - mean) * inv_std) + be;
+                    }
                 }
             }
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat,
-                inv_std: inv_stds,
-                batch_shape: shape.clone(),
-            });
-        } else {
-            self.cache = None;
-        }
+        self.cache = x_hat.map(|x_hat| BnCache {
+            x_hat,
+            inv_std: inv_stds,
+            batch_shape: shape.clone(),
+        });
         Ok(out)
     }
 
@@ -265,6 +271,30 @@ mod tests {
         // close to normalized too — but crucially it must be deterministic.
         let y_eval2 = bn.forward(&x, false).unwrap();
         assert_eq!(y_eval, y_eval2);
+    }
+
+    #[test]
+    fn inference_output_is_the_running_stats_formula_bit_for_bit() {
+        let mut rng = Rng::seed_from(3);
+        let x = Tensor::randn(Shape::d4(3, 2, 4, 5), &mut rng);
+        let mut bn = BatchNorm2d::from_parts(
+            Tensor::from_vec(Shape::d1(2), vec![1.5, -0.7]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![0.2, 0.9]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![0.3, -1.1]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![0.8, 2.5]).unwrap(),
+        )
+        .unwrap();
+        let y = bn.forward(&x, false).unwrap();
+        assert!(bn.cache.is_none());
+        let want = Tensor::from_fn(x.shape().clone(), |i| {
+            let ch = i[1];
+            let mean = bn.running_mean.data()[ch];
+            let inv_std = 1.0 / (bn.running_var.data()[ch] + bn.eps).sqrt();
+            let (g, be) = (bn.gamma.value.data()[ch], bn.beta.value.data()[ch]);
+            g * ((x.at(i) - mean) * inv_std) + be
+        });
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&want));
     }
 
     #[test]

@@ -272,18 +272,7 @@ impl Network {
     ///
     /// Propagates layer shape errors and mask validation errors.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
-        for i in 0..self.nodes.len() {
-            x = self.nodes[i].forward(&x, train)?;
-            if let Some(mask) = &self.masks[i] {
-                if train && self.mask_grad_enabled {
-                    self.premask[i] = Some(x.clone());
-                }
-                let mask = mask.clone();
-                Self::apply_mask(&mut x, &mask, i)?;
-            }
-        }
-        Ok(x)
+        self.forward_range(input, 0, train)
     }
 
     /// Enables or disables recording of `∂L/∂mask` for masked nodes
@@ -340,18 +329,18 @@ impl Network {
                 expected: "node range start",
             });
         }
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for i in start..self.nodes.len() {
-            x = self.nodes[i].forward(&x, train)?;
+            let mut y = self.nodes[i].forward(x.as_ref().unwrap_or(input), train)?;
             if let Some(mask) = &self.masks[i] {
                 if train && self.mask_grad_enabled {
-                    self.premask[i] = Some(x.clone());
+                    self.premask[i] = Some(y.clone());
                 }
-                let mask = mask.clone();
-                Self::apply_mask(&mut x, &mask, i)?;
+                Self::apply_mask(&mut y, mask, i)?;
             }
+            x = Some(y);
         }
-        Ok(x)
+        Ok(x.unwrap_or_else(|| input.clone()))
     }
 
     /// Forward pass that additionally returns the outputs of the requested
@@ -381,8 +370,7 @@ impl Network {
         for i in 0..self.nodes.len() {
             x = self.nodes[i].forward(&x, train)?;
             if let Some(mask) = &self.masks[i] {
-                let mask = mask.clone();
-                Self::apply_mask(&mut x, &mask, i)?;
+                Self::apply_mask(&mut x, mask, i)?;
             }
             for (slot, &c) in captured.iter_mut().zip(capture) {
                 if c == i {
@@ -414,8 +402,7 @@ impl Network {
                         self.mask_grads[i] = Some(channel_inner_products(&g, &pre, mask.len())?);
                     }
                 }
-                let mask = mask.clone();
-                Self::apply_mask(&mut g, &mask, i)?;
+                Self::apply_mask(&mut g, mask, i)?;
             }
             g = self.nodes[i].backward(&g)?;
         }

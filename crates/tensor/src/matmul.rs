@@ -1,23 +1,30 @@
 //! Matrix multiplication: the workhorse kernel behind convolution
 //! (via im2col lowering) and fully connected layers.
 //!
-//! The implementation is a BLIS-style cache-blocked GEMM: operands are
-//! packed into contiguous panels (`MC`×`KC` strips of A, `KC`×`NC` panels
-//! of B) and multiplied by an `MR`×`NR` register-tiled microkernel. Large
-//! problems parallelize over disjoint row blocks of the output on the
-//! persistent [`crate::pool`] — no per-call thread spawning — and small
-//! problems fall back to a naive loop that skips packing overhead.
+//! The implementation is a BLIS-style cache-blocked GEMM. B is packed once
+//! per call into `NR`-column panels spanning the whole depth; A is read in
+//! place, one `MR`-row strip at a time, through per-row offsets and a
+//! depth stride, so a conv forward never copies its filter bank. An
+//! `MR`×`NR` register-tiled microkernel multiplies a strip by a panel over
+//! one `KC` block. Large problems parallelize over disjoint row blocks of
+//! the output on the persistent [`crate::pool`] — one batch per packed
+//! block of B, so one per call unless B outgrows `KC`×`NC` floats — and
+//! small problems fall back to a naive loop that skips packing overhead.
 //!
 //! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled by
-//! [`gemm_ex`] through the packing step, so backpropagation never
-//! materializes a transposed copy, and `accumulate = true` adds into an
-//! existing output buffer (used to accumulate weight gradients in place).
+//! [`gemm_ex`] through the strip addressing and the B packing, so
+//! backpropagation never materializes a transposed copy, and
+//! `accumulate = true` adds into an existing output buffer (used to
+//! accumulate weight gradients in place).
 //!
 //! # Determinism
 //!
-//! The `KC` reduction blocks are applied sequentially in a fixed order and
-//! every output element is owned by exactly one parallel task, so results
-//! are bit-identical for any `HS_NUM_THREADS` setting.
+//! Every output element is owned by exactly one parallel task. The task
+//! adds the element's `KC`-block partial sums into it in block order, and
+//! the microkernel sums each block's depth steps in order. Neither the row
+//! block, the column block nor the strip lane changes those sums: a ragged
+//! last strip re-reads the last valid row into its spare lanes and
+//! discards them. Results are bit-identical for any `HS_NUM_THREADS`.
 
 use crate::error::TensorError;
 use crate::pool;
@@ -40,16 +47,17 @@ pub const SMALL_THRESHOLD: usize = 1 << 13;
 const MR: usize = 8;
 /// Microkernel register tile: columns of B per panel.
 pub const NR: usize = 8;
-/// Rows of A per cache block (must be a multiple of `MR` so strip
-/// boundaries — and therefore results — do not depend on the block
-/// partition).
+/// Rows of A per parallel row block (a multiple of `MR`, so strips never
+/// straddle a block boundary).
 const MC: usize = 64;
-/// Depth of the shared-K cache block; one packed A strip (`KC`×`MR`) fits
-/// comfortably in L1, a packed B panel (`KC`×`NR`) in L2. An output
+/// Depth of the shared-K cache block; one A strip (`KC`×`MR`) fits
+/// comfortably in L1, a packed B panel block (`KC`×`NR`) in L2. An output
 /// element's rounding depends only on `k` and this split, never on `m`,
 /// `n` or the thread count.
 pub const KC: usize = 256;
-/// Columns of B per outer block; bounds packed-B scratch at `KC`×`NC`.
+/// Packed B holds at most `KC`×`NC` floats: a call packs the widest
+/// `NR`-multiple of columns whose full-depth panels fit, one column block
+/// (and one pool batch) at a time.
 const NC: usize = 2048;
 /// Element budget of one grouped convolution lowering: a conv lowers as
 /// many consecutive samples into one `[C·k·k, g·oh·ow]` matrix as fit in
@@ -107,60 +115,53 @@ fn gemm_small(
     }
 }
 
-/// Packs the `mc`×`kc` block of A starting at (`ic`, `pc`) into `MR`-row
-/// strips: `ap[strip][p * MR + r] = A(ic + strip·MR + r, pc + p)`,
-/// zero-padding rows past `mc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    ap: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    ic: usize,
-    mc: usize,
-    pc: usize,
+/// One `MR`-row strip of op(A) over one `KC` block, read in place: lane
+/// `r` at depth `p` is `a[rows[r] + p * stride]`. Lanes past a ragged last
+/// strip repeat the last valid row; their results are discarded.
+struct Strip<'a> {
+    a: &'a [f32],
+    rows: [usize; MR],
+    stride: usize,
     kc: usize,
-    trans: bool,
-) {
-    for (si, strip) in (0..mc).step_by(MR).enumerate() {
-        let dst = &mut ap[si * kc * MR..(si + 1) * kc * MR];
-        let rows = MR.min(mc - strip);
-        for p in 0..kc {
-            let cell = &mut dst[p * MR..p * MR + MR];
-            for (r, slot) in cell.iter_mut().enumerate() {
-                *slot = if r < rows {
-                    a_at(a, m, k, ic + strip + r, pc + p, trans)
-                } else {
-                    0.0
-                };
-            }
+}
+
+impl<'a> Strip<'a> {
+    /// The strip of rows `i..i + MR` at depths `pc..pc + kc`: row offsets
+    /// step by `k` and depth by 1 for `A` (`m`×`k`), and the other way
+    /// round for `Aᵀ` (stored `k`×`m`).
+    fn new(a: &'a [f32], m: usize, k: usize, i: usize, pc: usize, kc: usize, trans: bool) -> Self {
+        let (row_step, stride) = if trans { (1, m) } else { (k, 1) };
+        let a = &a[pc * stride..];
+        let rows = std::array::from_fn(|r| (i + r).min(m - 1) * row_step);
+        // Offsets never decrease, so this bounds every read of the strip;
+        // the AVX2 kernel relies on it for its unchecked loads.
+        assert!(rows[MR - 1] + (kc - 1) * stride < a.len());
+        Strip {
+            a,
+            rows,
+            stride,
+            kc,
         }
     }
 }
 
-/// Packs the `kc`×`nc` block of B starting at (`pc`, `jc`) into `NR`-column
-/// panels: `bp[panel][p * NR + c] = B(pc + p, jc + panel·NR + c)`,
-/// zero-padding columns past `nc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    bp: &mut [f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    trans: bool,
-) {
+/// A microkernel: `acc[MR×NR] += strip · panel` over the strip's `kc`
+/// depth steps, with the panel packed `NR` floats per step.
+type Kernel = fn(&Strip<'_>, &[f32], &mut [f32; MR * NR]);
+
+/// Packs columns `jc..jc + nc` of op(B) into `NR`-column panels over the
+/// full depth: `bp[panel][p * NR + c] = B(p, jc + panel·NR + c)`,
+/// zero-padding columns past `nc`. Depth `pc` of panel `pj` therefore
+/// starts at `(pj·k + pc)·NR`.
+fn pack_b(bp: &mut [f32], b: &[f32], k: usize, n: usize, jc: usize, nc: usize, trans: bool) {
     for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-        let dst = &mut bp[pj * kc * NR..(pj + 1) * kc * NR];
+        let dst = &mut bp[pj * k * NR..(pj + 1) * k * NR];
         let cols = NR.min(nc - jr);
-        for p in 0..kc {
+        for p in 0..k {
             let cell = &mut dst[p * NR..p * NR + NR];
             for (c, slot) in cell.iter_mut().enumerate() {
                 *slot = if c < cols {
-                    b_at(b, k, n, pc + p, jc + jr + c, trans)
+                    b_at(b, k, n, p, jc + jr + c, trans)
                 } else {
                     0.0
                 };
@@ -169,16 +170,15 @@ fn pack_b(
     }
 }
 
-/// The register-tiled core: `acc[MR×NR] += Ap-strip · Bp-panel` over `kc`
-/// depth steps. Both operands are packed contiguously, so the inner loops
-/// are unit stride and the accumulator stays in registers.
-#[inline(always)]
-fn microkernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    for p in 0..kc {
-        let a_cell = &ap[p * MR..p * MR + MR];
+/// The portable register-tiled core. The panel is unit stride and the
+/// accumulator stays in registers; A costs one strided scalar load per
+/// lane and depth step.
+fn microkernel_portable(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
+    for p in 0..s.kc {
         let b_cell = &bp[p * NR..p * NR + NR];
+        let depth = p * s.stride;
         for r in 0..MR {
-            let a_rp = a_cell[r];
+            let a_rp = s.a[s.rows[r] + depth];
             let row = &mut acc[r * NR..r * NR + NR];
             for c in 0..NR {
                 row[c] += a_rp * b_cell[c];
@@ -189,12 +189,11 @@ fn microkernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * 
 
 /// AVX2+FMA microkernel, selected at runtime when the CPU supports it.
 /// Holds the whole `MR`×`NR` accumulator in eight YMM registers; each
-/// depth step is one packed-B load plus `MR` broadcast-FMAs, so the only
-/// memory traffic in the hot loop is the two packed panels streaming
-/// from L1/L2.
+/// depth step is one packed-B load plus `MR` broadcast-FMAs from the
+/// strip's rows, so the hot loop streams the B panel and `MR` rows of A.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR};
+    use super::{Strip, MR, NR};
 
     // The single packed-B load per depth step assumes one YMM register
     // spans the full panel width.
@@ -203,21 +202,24 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 and FMA (see
-    /// [`available`]) and that `ap`/`bp` hold at least `kc * 8` elements.
+    /// [`available`]) and that `bp` holds at least `s.kc * 8` elements.
+    /// The strip's loads `s.a[s.rows[r] + p * s.stride]` for `p < s.kc`
+    /// are unchecked: they stay in bounds because [`Strip::new`] asserts
+    /// the largest, `rows[MR - 1] + (kc - 1) * stride`, is below
+    /// `s.a.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    unsafe fn fma_kernel(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
         use std::arch::x86_64::*;
-        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
         let mut rows = [_mm256_setzero_ps(); MR];
-        let mut a_ptr = ap.as_ptr();
+        let a_rows = s.rows.map(|o| s.a.as_ptr().add(o));
         let mut b_ptr = bp.as_ptr();
-        for _ in 0..kc {
+        for p in 0..s.kc {
             let b_vec = _mm256_loadu_ps(b_ptr);
-            for (r, row) in rows.iter_mut().enumerate() {
-                let a_rp = _mm256_broadcast_ss(&*a_ptr.add(r));
+            let depth = p * s.stride;
+            for (row, a_row) in rows.iter_mut().zip(&a_rows) {
+                let a_rp = _mm256_broadcast_ss(&*a_row.add(depth));
                 *row = _mm256_fmadd_ps(a_rp, b_vec, *row);
             }
-            a_ptr = a_ptr.add(MR);
             b_ptr = b_ptr.add(NR);
         }
         for (r, row) in rows.iter().enumerate() {
@@ -226,33 +228,38 @@ mod x86 {
         }
     }
 
+    /// The AVX2+FMA kernel behind a safe signature.
+    pub fn microkernel(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
+        assert!(available() && bp.len() >= s.kc * NR);
+        // SAFETY: features and panel length checked above; the strip's
+        // reads are bounded by `Strip::new`.
+        unsafe { fma_kernel(s, bp, acc) }
+    }
+
     /// True when the running CPU has AVX2 and FMA (cached by std).
     pub fn available() -> bool {
         std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
     }
 }
 
-/// Dispatches to the fastest microkernel the CPU supports. Dispatch is a
-/// property of the machine, not the thread count, so determinism across
-/// `HS_NUM_THREADS` settings is unaffected.
-#[inline(always)]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+/// The fastest microkernel the CPU supports. Dispatch is a property of the
+/// machine, not the thread count, so determinism across `HS_NUM_THREADS`
+/// settings is unaffected.
+fn best_kernel() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
-        // SAFETY: feature presence checked above; packed panels are
-        // allocated at `kc * MR` / `kc * NR` by the callers.
-        unsafe { x86::microkernel(kc, ap, bp, acc) };
-        return;
+        return x86::microkernel;
     }
-    microkernel_portable(kc, ap, bp, acc);
+    microkernel_portable
 }
 
-/// Multiplies one `mc`-row block of the output: packs the corresponding A
-/// block and sweeps the microkernel over every (strip, panel) pair,
-/// accumulating valid regions into `out_block` (full `n`-wide rows,
-/// columns `jc..jc + nc`).
+/// Multiplies one row block of the output (`out_block`: full `n`-wide rows
+/// from row `ic`) by packed columns `jc..jc + nc` of B. Walks the `KC`
+/// blocks in order and sweeps the microkernel over every (strip, panel)
+/// pair of each, adding valid regions into `out_block`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
+    kernel: Kernel,
     out_block: &mut [f32],
     a: &[f32],
     bp: &[f32],
@@ -260,24 +267,21 @@ fn gemm_block(
     k: usize,
     n: usize,
     ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
     jc: usize,
     nc: usize,
     trans_a: bool,
 ) {
-    let strips = mc.div_ceil(MR);
-    with_scratch(strips * kc * MR, |ap| {
-        pack_a(ap, a, m, k, ic, mc, pc, kc, trans_a);
-        for (si, strip) in (0..mc).step_by(MR).enumerate() {
-            let ap_strip = &ap[si * kc * MR..(si + 1) * kc * MR];
+    let mc = out_block.len() / n;
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for strip in (0..mc).step_by(MR) {
+            let a_strip = Strip::new(a, m, k, ic + strip, pc, kc, trans_a);
             let rows = MR.min(mc - strip);
             for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-                let bp_panel = &bp[pj * kc * NR..(pj + 1) * kc * NR];
+                let bp_panel = &bp[(pj * k + pc) * NR..][..kc * NR];
                 let cols = NR.min(nc - jr);
                 let mut acc = [0.0f32; MR * NR];
-                microkernel(kc, ap_strip, bp_panel, &mut acc);
+                kernel(&a_strip, bp_panel, &mut acc);
                 for r in 0..rows {
                     let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
                     let src = &acc[r * NR..r * NR + cols];
@@ -287,7 +291,7 @@ fn gemm_block(
                 }
             }
         }
-    });
+    }
 }
 
 /// General matrix multiply into a caller-owned buffer:
@@ -308,6 +312,35 @@ fn gemm_block(
 /// Panics if slice lengths do not match `m`/`k`/`n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_ex(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    trans_b: bool,
+    accumulate: bool,
+) {
+    gemm_with(
+        best_kernel(),
+        out,
+        a,
+        b,
+        m,
+        k,
+        n,
+        trans_a,
+        trans_b,
+        accumulate,
+    );
+}
+
+/// [`gemm_ex`] with the microkernel as a parameter, so tests can run each
+/// kernel on any host that supports it.
+#[allow(clippy::too_many_arguments)]
+fn gemm_with(
+    kernel: Kernel,
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -345,28 +378,24 @@ pub fn gemm_ex(
     } else {
         m.div_ceil(MR) * MR
     };
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let panels = nc.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            with_scratch(panels * kc * NR, |bp| {
-                pack_b(bp, b, k, n, pc, kc, jc, nc, trans_b);
-                let bp = &*bp;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                    .chunks_mut(block_rows * n)
-                    .enumerate()
-                    .map(|(bi, out_block)| {
-                        let ic = bi * block_rows;
-                        let mc = out_block.len() / n;
-                        Box::new(move || {
-                            gemm_block(out_block, a, bp, m, k, n, ic, mc, pc, kc, jc, nc, trans_a);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool::run_tasks(tasks);
-            });
-        }
+    let block_cols = (KC * NC / k / NR * NR).max(NR);
+    for jc in (0..n).step_by(block_cols) {
+        let nc = block_cols.min(n - jc);
+        with_scratch(nc.div_ceil(NR) * NR * k, |bp| {
+            pack_b(bp, b, k, n, jc, nc, trans_b);
+            let bp = &*bp;
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+                .chunks_mut(block_rows * n)
+                .enumerate()
+                .map(|(bi, out_block)| {
+                    let ic = bi * block_rows;
+                    Box::new(move || {
+                        gemm_block(kernel, out_block, a, bp, m, k, n, ic, jc, nc, trans_a);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool::run_tasks(tasks);
+        });
     }
     telem::gemm_secs().observe(timer.elapsed().as_secs_f64());
 }
@@ -391,32 +420,7 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let mismatch = || TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: self.shape().clone(),
-            rhs: rhs.shape().clone(),
-        };
-        if self.shape().rank() != 2 || rhs.shape().rank() != 2 {
-            return Err(mismatch());
-        }
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        let (k2, n) = (rhs.shape().dim(0), rhs.shape().dim(1));
-        if k != k2 {
-            return Err(mismatch());
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm_ex(
-            &mut out,
-            self.data(),
-            rhs.data(),
-            m,
-            k,
-            n,
-            false,
-            false,
-            false,
-        );
-        Tensor::from_vec(Shape::d2(m, n), out)
+        self.product(rhs, "matmul", false, false)
     }
 
     /// `selfᵀ · rhs` without materializing the transpose.
@@ -429,32 +433,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] on rank or inner-dimension
     /// mismatch.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        let mismatch = || TensorError::ShapeMismatch {
-            op: "matmul_tn",
-            lhs: self.shape().clone(),
-            rhs: rhs.shape().clone(),
-        };
-        if self.shape().rank() != 2 || rhs.shape().rank() != 2 {
-            return Err(mismatch());
-        }
-        let (k, m) = (self.shape().dim(0), self.shape().dim(1));
-        let (k2, n) = (rhs.shape().dim(0), rhs.shape().dim(1));
-        if k != k2 {
-            return Err(mismatch());
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm_ex(
-            &mut out,
-            self.data(),
-            rhs.data(),
-            m,
-            k,
-            n,
-            true,
-            false,
-            false,
-        );
-        Tensor::from_vec(Shape::d2(m, n), out)
+        self.product(rhs, "matmul_tn", true, false)
     }
 
     /// `self · rhsᵀ` without materializing the transpose.
@@ -468,16 +447,34 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] on rank or inner-dimension
     /// mismatch.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
+        self.product(rhs, "matmul_nt", false, true)
+    }
+
+    /// `op(self) · op(rhs)` into a new tensor, checking ranks and the
+    /// inner dimension first; `op` transposes where its flag is set.
+    fn product(
+        &self,
+        rhs: &Tensor,
+        op: &'static str,
+        trans_a: bool,
+        trans_b: bool,
+    ) -> Result<Tensor, TensorError> {
         let mismatch = || TensorError::ShapeMismatch {
-            op: "matmul_nt",
+            op,
             lhs: self.shape().clone(),
             rhs: rhs.shape().clone(),
         };
         if self.shape().rank() != 2 || rhs.shape().rank() != 2 {
             return Err(mismatch());
         }
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        let (n, k2) = (rhs.shape().dim(0), rhs.shape().dim(1));
+        let [(m, k), (k2, n)] = [(self, trans_a), (rhs, trans_b)].map(|(t, trans)| {
+            let (rows, cols) = (t.shape().dim(0), t.shape().dim(1));
+            if trans {
+                (cols, rows)
+            } else {
+                (rows, cols)
+            }
+        });
         if k != k2 {
             return Err(mismatch());
         }
@@ -489,8 +486,8 @@ impl Tensor {
             m,
             k,
             n,
-            false,
-            true,
+            trans_a,
+            trans_b,
             false,
         );
         Tensor::from_vec(Shape::d2(m, n), out)
@@ -672,6 +669,107 @@ mod tests {
         let first = a.matmul(&b).unwrap();
         for _ in 0..4 {
             assert_eq!(a.matmul(&b).unwrap().data(), first.data());
+        }
+    }
+
+    /// Every microkernel this host can run.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", microkernel_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if x86::available() {
+            kernels.push(("avx2", x86::microkernel));
+        }
+        kernels
+    }
+
+    #[test]
+    fn every_kernel_matches_reference_on_ragged_shapes() {
+        // Dims on and around the MR/NR/KC multiples: clamped last strips
+        // (whose spare lanes read A's final element in both layouts),
+        // zero-padded last panels and ragged last KC blocks. The products
+        // run from the naive path to the pooled one. The last shape's
+        // packed B outgrows KC×NC floats, so it runs as two column blocks.
+        let grid = [1, 7, 8, 9, 63, 65, 129].into_iter().flat_map(|m| {
+            [1, KC - 1, KC, KC + 1, 2 * KC + 3]
+                .into_iter()
+                .flat_map(move |k| [1, 4, 7, 8, 9, 33].map(|n| (m, k, n)))
+        });
+        const { assert!(SMALL_THRESHOLD > 9 * 9 * 9 && 129 * KC * 33 > PARALLEL_THRESHOLD) };
+        const { assert!((KC + 1) * 2100 > KC * NC) };
+        let mut rng = Rng::seed_from(10);
+        for (m, k, n) in grid.chain([(9, KC + 1, 2100)]) {
+            let av: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let bv: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            for (ta, tb) in [(false, false), (true, false), (false, true)] {
+                for acc in [false, true] {
+                    let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
+                    let mut want = init.clone();
+                    reference(&mut want, &av, &bv, m, k, n, ta, tb, acc);
+                    for (name, kernel) in kernels() {
+                        let mut got = init.clone();
+                        gemm_with(kernel, &mut got, &av, &bv, m, k, n, ta, tb, acc);
+                        for (g, w) in got.iter().zip(&want) {
+                            assert!(
+                                (g - w).abs() <= 1e-4 * (1.0 + g.abs().max(w.abs())),
+                                "{name} m={m} k={k} n={n} ta={ta} tb={tb} acc={acc}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn last_strip_bound_is_exactly_the_last_element() {
+        // The bound `Strip::new` asserts is tight: the final strip of the
+        // final KC block reaches A's last element, in either layout.
+        for trans in [false, true] {
+            let (m, k) = (13, KC + 5);
+            let a = vec![0.0f32; m * k];
+            let s = Strip::new(&a, m, k, m / MR * MR, KC, 5, trans);
+            assert_eq!(KC * s.stride + s.rows[MR - 1] + 4 * s.stride, m * k - 1);
+        }
+    }
+
+    /// FNV-1a over `gemm_ex` at the infer workload's conv shapes, in every
+    /// transpose variant, overwriting and accumulating.
+    fn infer_shapes_fingerprint() -> u64 {
+        let mut rng = Rng::seed_from(9);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &(m, k, n) in &[
+            (128, 1152, 4),
+            (128, 1152, 16),
+            (128, 1152, 28),
+            (16, 27, 1024),
+            (64, 576, 64),
+        ] {
+            let av: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let bv: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            for &(ta, tb) in &[(false, false), (true, false), (false, true)] {
+                for acc in [false, true] {
+                    let mut out: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
+                    gemm_ex(&mut out, &av, &bv, m, k, n, ta, tb, acc);
+                    for v in out {
+                        for byte in v.to_bits().to_le_bytes() {
+                            hash ^= u64::from(byte);
+                            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn avx2_bits_match_the_packed_a_kernel() {
+        // Captured from the kernel that packed A before each KC block (the
+        // same FMA order this one must keep). Only the AVX2+FMA kernel is
+        // pinned; other hosts round differently.
+        #[cfg(target_arch = "x86_64")]
+        if x86::available() {
+            assert_eq!(infer_shapes_fingerprint(), 0xeec1_ad4d_9ecd_f523);
         }
     }
 }
