@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::surgery::conv_sites;
 use hs_nn::{models, Network};
-use hs_pruning::{
-    Apoz, AutoPruner, EntropyCriterion, L1Norm, PruningCriterion, Random, ScoreContext, ThiNet,
-};
+use hs_pruning::{Apoz, AutoPruner, L1Norm, PruningCriterion, Random, ScoreContext, ThiNet};
 use hs_tensor::{Rng, Shape, Tensor};
 
 fn setup() -> (Network, Tensor, Vec<usize>) {
@@ -40,7 +38,6 @@ fn bench_criteria(c: &mut Criterion) {
 
     bench_one!("l1_norm", L1Norm::new());
     bench_one!("apoz", Apoz::new());
-    bench_one!("entropy", EntropyCriterion::new());
     bench_one!("random", Random::new());
     bench_one!("thinet_64samples", ThiNet::new().samples(64));
     bench_one!("autopruner_5iters", AutoPruner::new().iterations(5));

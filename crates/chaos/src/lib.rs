@@ -16,7 +16,7 @@
 //!    `probe_loss`) — in-process or via subprocess, in virtual time
 //!    where the target supports it (the fleet), byte-reproducibly from
 //!    a single campaign seed;
-//! 3. **invariant oracles** ([`Oracle`]) evaluated from journals,
+//! 3. **invariant oracles** ([`ORACLES`]) evaluated from journals,
 //!    telemetry, and artifacts: run completion, kill+resume bit-parity
 //!    to the fault-free `final.hsck`, checkpoint-CRC integrity of every
 //!    surviving artifact, ejection liveness (recovery observed once

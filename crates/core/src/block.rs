@@ -7,7 +7,7 @@
 //! reward is measured on *parameters* (Eq. 11: compression ratio
 //! `W'/W`), which is how Table 4 reports "C.R.". The episode loop itself
 //! lives in the shared [`EpisodeEngine`]; this module only builds the
-//! [`BlockUnit`](crate::units::BlockUnit) and interprets the outcome.
+//! [`BlockUnit`] and interprets the outcome.
 
 use hs_data::Dataset;
 use hs_nn::accounting::analyze;

@@ -9,8 +9,7 @@
 //! block's inner channel mask and made physical with
 //! [`ResidualBlock::prune_inner_maps`](hs_nn::block::ResidualBlock::prune_inner_maps).
 //! The episode loop lives in the shared [`EpisodeEngine`]; this module
-//! builds the [`InnerUnit`](crate::units::InnerUnit) and interprets the
-//! outcome.
+//! builds the [`InnerUnit`] and interprets the outcome.
 
 use hs_data::Dataset;
 use hs_nn::loss::accuracy;
@@ -180,9 +179,9 @@ fn spd_of(channels: usize, action: &[bool], sp: f32) -> f32 {
 
 /// Whole-model block-internal pruning: runs the RL loop over every
 /// prunable residual block front-to-back, applying each decision and
-/// fine-tuning in between — the block-granularity analogue of
-/// [`HeadStartPruner`](crate::HeadStartPruner) for ResNets, per the
-/// paper's "just like VGG" remark.
+/// fine-tuning in between — the block-granularity analogue of the
+/// per-layer schedule `hs-runner` runs for VGG, per the paper's "just
+/// like VGG" remark.
 ///
 /// Returns one [`LayerDecision`] per block (in
 /// [`Network::block_indices`] order) and the final test accuracy.

@@ -17,7 +17,8 @@
 //! `Aᴵ = 𝜑ₜ(p)` thresholds the probabilities at `t` (Eqs. 8–10), trains
 //! the policy until loss and reward stabilize. The surviving-filter set —
 //! the *inception* — is then made physical by channel surgery and the
-//! model is fine-tuned before moving to the next layer.
+//! model is fine-tuned before moving to the next layer; that
+//! layer-by-layer schedule is `hs-runner`'s, shared with the baselines.
 //!
 //! The same machinery prunes whole residual blocks of a ResNet
 //! ([`BlockPruner`]), reproducing the paper's Table 4 experiment.
@@ -49,12 +50,10 @@
 pub mod block;
 pub mod block_inner;
 mod config;
-mod criterion;
 pub mod engine;
 mod error;
 mod evaluator;
 mod layer;
-pub mod model;
 pub mod observe;
 mod policy;
 pub mod reinforce;
@@ -67,7 +66,6 @@ pub use block_inner::{
     InnerLayerPruner,
 };
 pub use config::{GuardPolicy, HeadStartConfig};
-pub use criterion::HeadStartCriterion;
 pub use engine::{
     ConvergenceReason, EngineObserver, EngineOutcome, EpisodeEngine, EpisodeEvent, EpisodeTrace,
     EvalExecutor, GuardAction, GuardReason, NullObserver, ParallelReward, PruningUnit,
@@ -76,7 +74,6 @@ pub use engine::{
 pub use error::HeadStartError;
 pub use evaluator::MaskedEvaluator;
 pub use layer::{LayerDecision, LayerPruner};
-pub use model::HeadStartPruner;
 pub use observe::TelemetryObserver;
 pub use policy::HeadStartNetwork;
 pub use units::{BlockUnit, InnerUnit, LayerUnit};

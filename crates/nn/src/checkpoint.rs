@@ -67,6 +67,9 @@ const MAX_NODES: u64 = 1 << 20;
 const MAX_RANK: u32 = 8;
 const MAX_DIM: u64 = 1 << 24;
 const MAX_ELEMENTS: usize = 1 << 28;
+/// Smallest step, in floats (256 KiB), by which a tensor read grows its
+/// buffer.
+const READ_CHUNK: usize = 1 << 16;
 
 fn bad(detail: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail.into())
@@ -294,11 +297,17 @@ fn read_tensor<R: Read>(r: &mut CheckReader<R>) -> io::Result<Tensor> {
             .ok_or_else(|| bad(format!("implausible tensor size (dims {dims:?} x {d})")))?;
         dims.push(d as usize);
     }
-    let mut data = vec![0.0f32; len];
+    // The header only claims `len` floats: grow the buffer as they
+    // arrive (geometrically, never past `len`), so a stream that ends
+    // early fails at EOF having allocated no more than its bytes justify.
+    let mut data = Vec::new();
     let mut buf = [0u8; 4];
-    for v in &mut data {
+    while data.len() < len {
+        if data.len() == data.capacity() {
+            data.reserve_exact(data.len().max(READ_CHUNK).min(len - data.len()));
+        }
         r.read_exact(&mut buf)?;
-        *v = f32::from_le_bytes(buf);
+        data.push(f32::from_le_bytes(buf));
     }
     if let Some(computed) = r.end_tensor() {
         let stored = read_u32(r)?;

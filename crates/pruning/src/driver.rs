@@ -1,15 +1,13 @@
-//! Whole-model pruning pipelines: iterate layers front-to-back, prune
-//! each with a criterion, fine-tune, and record the per-layer trace the
-//! paper reports in Table 1.
+//! What a whole-model prune run needs besides a criterion: the
+//! fine-tuning schedule run after each layer, the per-layer trace row
+//! the paper reports in Table 1, and the from-scratch control. The
+//! layer-by-layer loop itself is `hs-runner`'s.
 
 use hs_data::Dataset;
-use hs_nn::accounting::{analyze, NetworkCost};
 use hs_nn::optim::Sgd;
-use hs_nn::surgery::{conv_sites, prune_feature_maps};
 use hs_nn::{models, train, Network};
 use hs_tensor::{Rng, Tensor};
 
-use crate::criterion::{PruningCriterion, ScoreContext};
 use crate::error::PruneError;
 
 /// Fine-tuning configuration used between pruning steps.
@@ -94,125 +92,6 @@ pub struct LayerTrace {
     pub finetuned_accuracy: f32,
 }
 
-/// Outcome of a whole-model pruning run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneOutcome {
-    /// Name of the criterion that produced this run.
-    pub criterion: &'static str,
-    /// Per-layer trace in pruning order.
-    pub traces: Vec<LayerTrace>,
-    /// Final test accuracy.
-    pub final_accuracy: f32,
-    /// Final cost breakdown.
-    pub cost: NetworkCost,
-}
-
-/// How many scoring images criteria see (a subset of the training set —
-/// class-balanced because the generators interleave classes).
-const SCORING_IMAGES: usize = 64;
-
-/// Prunes every convolution of `net` front-to-back with `criterion`,
-/// keeping `keep_ratio` of each layer's feature maps (the paper's
-/// compression ratio: `keep_ratio = 1/sp`), fine-tuning after each layer.
-///
-/// # Errors
-///
-/// Propagates criterion, surgery and training errors.
-pub fn prune_whole_model(
-    net: &mut Network,
-    criterion: &mut dyn PruningCriterion,
-    keep_ratio: f32,
-    ds: &Dataset,
-    ft: &FineTune,
-    rng: &mut Rng,
-) -> Result<PruneOutcome, PruneError> {
-    if !(0.0..=1.0).contains(&keep_ratio) || keep_ratio == 0.0 {
-        return Err(PruneError::BadKeepCount {
-            keep: 0,
-            available: 0,
-        });
-    }
-    let scoring_n = SCORING_IMAGES.min(ds.train_labels.len());
-    let scoring_idx: Vec<usize> = (0..scoring_n).collect();
-    let scoring_images = ds.train_images.index_select(0, &scoring_idx)?;
-    let scoring_labels: Vec<usize> = ds.train_labels[..scoring_n].to_vec();
-
-    let mut traces = Vec::new();
-    let conv_count = net.conv_indices().len();
-    for ordinal in 0..conv_count {
-        let site = conv_sites(net)[ordinal];
-        let maps_before = net.conv(site.conv)?.out_channels();
-        let keep_count = ((maps_before as f32 * keep_ratio).round() as usize).clamp(1, maps_before);
-        let keep = {
-            let mut ctx = ScoreContext::new(net, site, &scoring_images, &scoring_labels, rng);
-            criterion.keep_set(&mut ctx, keep_count)?
-        };
-        prune_feature_maps(net, site.conv, &keep)?;
-        criterion.post_surgery(net, site, &keep)?;
-        let inception_accuracy = train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?;
-        ft.run(net, &ds.train_images, &ds.train_labels, rng)?;
-        let finetuned_accuracy = train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?;
-        let cost = analyze(net, ds.channels(), ds.image_size())?;
-        traces.push(LayerTrace {
-            conv_node: site.conv,
-            conv_ordinal: ordinal,
-            maps_before,
-            maps_after: keep.len(),
-            params_after: cost.total_params,
-            flops_after: cost.total_flops,
-            inception_accuracy,
-            finetuned_accuracy,
-        });
-    }
-    let final_accuracy = train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?;
-    let cost = analyze(net, ds.channels(), ds.image_size())?;
-    Ok(PruneOutcome {
-        criterion: criterion.name(),
-        traces,
-        final_accuracy,
-        cost,
-    })
-}
-
-/// Prunes a *single* layer (no fine-tuning) and reports the inception
-/// accuracy — the measurement behind the paper's Figure 3.
-///
-/// The network is pruned in place; callers who need the original should
-/// clone first.
-///
-/// # Errors
-///
-/// Propagates criterion and surgery errors.
-pub fn prune_single_layer(
-    net: &mut Network,
-    criterion: &mut dyn PruningCriterion,
-    conv_ordinal: usize,
-    keep_ratio: f32,
-    ds: &Dataset,
-    rng: &mut Rng,
-) -> Result<f32, PruneError> {
-    let sites = conv_sites(net);
-    let site = *sites.get(conv_ordinal).ok_or(PruneError::BadScoringSet {
-        detail: format!(
-            "conv ordinal {conv_ordinal} out of range ({} convs)",
-            sites.len()
-        ),
-    })?;
-    let maps = net.conv(site.conv)?.out_channels();
-    let keep_count = ((maps as f32 * keep_ratio).round() as usize).clamp(1, maps);
-    let scoring_n = SCORING_IMAGES.min(ds.train_labels.len());
-    let idx: Vec<usize> = (0..scoring_n).collect();
-    let scoring_images = ds.train_images.index_select(0, &idx)?;
-    let scoring_labels: Vec<usize> = ds.train_labels[..scoring_n].to_vec();
-    let keep = {
-        let mut ctx = ScoreContext::new(net, site, &scoring_images, &scoring_labels, rng);
-        criterion.keep_set(&mut ctx, keep_count)?
-    };
-    prune_feature_maps(net, site.conv, &keep)?;
-    criterion.post_surgery(net, site, &keep)?;
-    Ok(train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?)
-}
-
 /// The "from scratch" baseline: re-initializes the (already pruned)
 /// architecture and trains it with the given budget, returning the final
 /// test accuracy.
@@ -237,88 +116,4 @@ pub fn train_from_scratch(
         &ds.test_labels,
         64,
     )?)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::l1::L1Norm;
-    use crate::random::Random;
-    use hs_data::DatasetSpec;
-
-    fn tiny_ds() -> Dataset {
-        Dataset::generate(
-            &DatasetSpec::cifar_like()
-                .classes(4)
-                .train_per_class(8)
-                .test_per_class(4)
-                .image_size(8),
-        )
-        .unwrap()
-    }
-
-    fn tiny_vgg(ds: &Dataset, rng: &mut Rng) -> Network {
-        models::vgg11(ds.channels(), ds.num_classes(), ds.image_size(), 0.125, rng).unwrap()
-    }
-
-    #[test]
-    fn whole_model_prune_halves_every_layer() {
-        let ds = tiny_ds();
-        let mut rng = Rng::seed_from(0);
-        let mut net = tiny_vgg(&ds, &mut rng);
-        let before = analyze(&net, 3, 8).unwrap();
-        let ft = FineTune {
-            epochs: 1,
-            ..FineTune::default()
-        };
-        let outcome =
-            prune_whole_model(&mut net, &mut L1Norm::new(), 0.5, &ds, &ft, &mut rng).unwrap();
-        assert_eq!(outcome.traces.len(), 8); // VGG-11 has 8 convs
-        for t in &outcome.traces {
-            assert_eq!(t.maps_after, t.maps_before.div_ceil(2));
-        }
-        assert!(outcome.cost.total_params < before.total_params);
-        assert!(outcome.cost.total_flops < before.total_flops);
-        // Params must be monotonically non-increasing along the trace.
-        for pair in outcome.traces.windows(2) {
-            assert!(pair[1].params_after <= pair[0].params_after);
-        }
-        assert_eq!(outcome.criterion, "Li'17");
-    }
-
-    #[test]
-    fn single_layer_prune_reports_accuracy() {
-        let ds = tiny_ds();
-        let mut rng = Rng::seed_from(1);
-        let mut net = tiny_vgg(&ds, &mut rng);
-        let acc = prune_single_layer(&mut net, &mut Random::new(), 0, 0.5, &ds, &mut rng).unwrap();
-        assert!((0.0..=1.0).contains(&acc));
-        // Out-of-range ordinal errors.
-        let mut net2 = tiny_vgg(&ds, &mut rng);
-        assert!(prune_single_layer(&mut net2, &mut Random::new(), 99, 0.5, &ds, &mut rng).is_err());
-    }
-
-    #[test]
-    fn from_scratch_trains_the_same_architecture() {
-        let ds = tiny_ds();
-        let mut rng = Rng::seed_from(2);
-        let mut net = tiny_vgg(&ds, &mut rng);
-        let ft = FineTune {
-            epochs: 0,
-            ..FineTune::default()
-        };
-        prune_whole_model(&mut net, &mut L1Norm::new(), 0.5, &ds, &ft, &mut rng).unwrap();
-        let acc = train_from_scratch(&net, &ds, 1, &FineTune::default(), &mut rng).unwrap();
-        assert!((0.0..=1.0).contains(&acc));
-    }
-
-    #[test]
-    fn rejects_bad_keep_ratio() {
-        let ds = tiny_ds();
-        let mut rng = Rng::seed_from(3);
-        let mut net = tiny_vgg(&ds, &mut rng);
-        let ft = FineTune::default();
-        assert!(prune_whole_model(&mut net, &mut L1Norm::new(), 0.0, &ds, &ft, &mut rng).is_err());
-        assert!(prune_whole_model(&mut net, &mut L1Norm::new(), 1.5, &ds, &ft, &mut rng).is_err());
-    }
 }

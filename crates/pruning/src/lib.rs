@@ -5,21 +5,18 @@
 //! |---|---|---|
 //! | [`L1Norm`] | Li et al., ICLR'17 | prune filters with the smallest absolute weight sum |
 //! | [`Apoz`] | Hu et al., 2016 | prune maps with the highest average percentage of zeros |
-//! | [`EntropyCriterion`] | Luo & Wu, 2017 | prune maps whose activation distribution carries little entropy |
 //! | [`Random`] | — | uniform-random control |
 //! | [`ThiNet`] | Luo et al., ICCV'17 | greedy channel subset minimizing next-layer reconstruction error, plus least-squares rescale |
 //! | [`AutoPruner`] | Luo & Wu, 2018 | end-to-end trained sigmoid channel gates with temperature annealing |
-//! | [`LassoChannel`] | He et al., ICCV'17 | LASSO channel selection + least-squares reconstruction |
-//! | [`Slimming`] | Liu et al., ICCV'17 | prune maps with the smallest batch-norm scale `γ` |
-//! | [`TaylorCriterion`] | Molchanov et al., 2016 | first-order Taylor saliency `|Σ ∂L/∂a · a|` |
 //!
 //! All of these are *inception-agnostic* in the paper's terminology: they
 //! decide what to prune from layer-local statistics, not from the effect
 //! on the final output — which is precisely what `hs-core`'s HeadStart
 //! pruner does differently.
 //!
-//! The [`driver`] module runs whole-model prune→fine-tune pipelines and
-//! produces the per-layer traces of the paper's Table 1.
+//! The [`driver`] module holds the fine-tuning schedule, the per-layer
+//! trace row of the paper's Table 1 and the from-scratch control; the
+//! layer-by-layer prune loop that uses them is `hs-runner`'s.
 //!
 //! # Example
 //!
@@ -48,24 +45,16 @@ mod apoz;
 mod autopruner;
 mod criterion;
 pub mod driver;
-mod entropy;
 mod error;
 mod l1;
-mod lasso;
 mod linalg;
 mod random;
-mod slimming;
-mod taylor;
 mod thinet;
 
 pub use apoz::Apoz;
 pub use autopruner::AutoPruner;
 pub use criterion::{top_k_indices, PruningCriterion, ScoreContext};
-pub use entropy::EntropyCriterion;
 pub use error::PruneError;
 pub use l1::L1Norm;
-pub use lasso::LassoChannel;
 pub use random::Random;
-pub use slimming::Slimming;
-pub use taylor::TaylorCriterion;
 pub use thinet::ThiNet;

@@ -30,6 +30,7 @@ pub mod config;
 pub mod error;
 pub mod faults;
 pub mod journal;
+mod layers;
 pub mod manifest;
 pub mod pipeline;
 pub mod report;

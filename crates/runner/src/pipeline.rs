@@ -8,17 +8,14 @@ use std::time::Instant;
 
 use hs_core::{
     prune_all_block_inners_executed, BlockDecision, BlockPruner, EvalExecutor, HeadStartConfig,
-    HeadStartPruner, LayerPruner, SerialExecutor, TelemetryObserver,
+    LayerPruner, SerialExecutor, TelemetryObserver,
 };
 use hs_data::{cached, Dataset};
 use hs_nn::accounting::{analyze, NetworkCost};
 use hs_nn::optim::Sgd;
-use hs_nn::surgery::{conv_sites, prune_feature_maps};
+use hs_nn::surgery::prune_feature_maps;
 use hs_nn::{checkpoint, train, Network, NnError};
-use hs_pruning::driver::{
-    prune_whole_model, train_from_scratch, FineTune, LayerTrace, PruneOutcome,
-};
-use hs_pruning::ScoreContext;
+use hs_pruning::driver::{train_from_scratch, FineTune, LayerTrace};
 use hs_telemetry::io::write_json;
 use hs_telemetry::schema::Json;
 use hs_telemetry::{Event, EventKind, Level, TelemetryConfig};
@@ -27,11 +24,8 @@ use hs_tensor::Rng;
 use crate::budget::Budget;
 use crate::config::{BaselineKind, Method, RunnerConfig};
 use crate::error::RunnerError;
+use crate::layers::{prune_layers, LayerStep};
 use crate::report::{Phase, StageTiming};
-
-/// How many scoring images baseline criteria see in single-layer runs —
-/// the same class-balanced subset size the whole-model driver uses.
-const SCORING_IMAGES: usize = 64;
 
 /// Trains a fresh SGD schedule on `net` (momentum 0.9, weight decay
 /// 5e-4, the paper's settings) and reports progress.
@@ -239,35 +233,31 @@ impl Prepared {
         let start = Instant::now();
         let mut net = self.net.clone();
         let mut rng = Rng::seed_from(seed);
-        let ft = self.finetune();
         let mut traces = Vec::new();
         let mut block_decision = None;
-        let final_accuracy;
-        match method {
-            Method::HeadStartLayers { .. } => {
-                let cfg = method.headstart_config(&self.budget).ok_or_else(|| {
-                    RunnerError::BadConfig("HeadStart method without an RL config".to_string())
-                })?;
-                let mut observer = TelemetryObserver::from_config(&cfg).with_trace_seed(seed);
-                let (outcome, _decisions) = HeadStartPruner::new(cfg, ft).prune_model_executed(
+        let rl_config = || {
+            method.headstart_config(&self.budget).ok_or_else(|| {
+                RunnerError::BadConfig("HeadStart method without an RL config".to_string())
+            })
+        };
+        let final_accuracy = match method {
+            Method::HeadStartLayers { .. } | Method::Baseline { .. } => {
+                let mut step = LayerStep::new(method, self, seed)?;
+                prune_layers(
+                    self,
+                    &mut step,
                     &mut net,
-                    &self.ds,
+                    0,
                     &mut rng,
-                    &mut observer,
                     executor,
-                )?;
-                let PruneOutcome {
-                    traces: t,
-                    final_accuracy: acc,
-                    ..
-                } = outcome;
-                traces = t;
-                final_accuracy = acc;
+                    |_, _, trace, _| {
+                        traces.push(trace);
+                        Ok(())
+                    },
+                )?
             }
             Method::HeadStartBlocks { .. } => {
-                let cfg = method.headstart_config(&self.budget).ok_or_else(|| {
-                    RunnerError::BadConfig("HeadStart method without an RL config".to_string())
-                })?;
+                let cfg = rl_config()?;
                 // Block pruning fine-tunes once at the end; give it the
                 // whole per-layer budget.
                 let ft = FineTune {
@@ -284,38 +274,23 @@ impl Prepared {
                     executor,
                 )?;
                 block_decision = Some(decision);
-                final_accuracy = acc;
+                acc
             }
             Method::HeadStartInner { .. } => {
-                let cfg = method.headstart_config(&self.budget).ok_or_else(|| {
-                    RunnerError::BadConfig("HeadStart method without an RL config".to_string())
-                })?;
+                let cfg = rl_config()?;
                 let mut observer = TelemetryObserver::from_config(&cfg).with_trace_seed(seed);
                 let (_decisions, acc) = prune_all_block_inners_executed(
                     &cfg,
-                    &ft,
+                    &self.finetune(),
                     &mut net,
                     &self.ds,
                     &mut rng,
                     &mut observer,
                     executor,
                 )?;
-                final_accuracy = acc;
+                acc
             }
-            Method::Baseline { kind, keep_ratio } => {
-                let mut criterion = kind.build();
-                let outcome = prune_whole_model(
-                    &mut net,
-                    criterion.as_mut(),
-                    *keep_ratio,
-                    &self.ds,
-                    &ft,
-                    &mut rng,
-                )?;
-                traces = outcome.traces;
-                final_accuracy = outcome.final_accuracy;
-            }
-        }
+        };
         let cost = analyze(&net, self.ds.channels(), self.ds.image_size())?;
         phase.end();
         Ok(MethodRun {
@@ -396,12 +371,13 @@ impl Prepared {
     }
 
     /// Single-layer baseline prune on a clone (no fine-tuning), keeping
-    /// `1/sp` of the layer's maps. The criterion scores the same
-    /// class-balanced training subset the whole-model driver uses.
+    /// `1/sp` of the layer's maps: one step of the whole-model schedule,
+    /// scoring the same class-balanced training subset.
     ///
     /// # Errors
     ///
-    /// Propagates criterion, surgery and evaluation errors.
+    /// [`RunnerError::BadConfig`] for `sp < 1` or an ordinal past the
+    /// last conv; propagates criterion, surgery and evaluation errors.
     pub fn single_layer_baseline(
         &self,
         kind: BaselineKind,
@@ -412,24 +388,13 @@ impl Prepared {
     ) -> Result<SingleLayerRun, RunnerError> {
         let mut net = self.net.clone();
         let mut rng = Rng::seed_from(seed);
-        let sites = conv_sites(&net);
-        let site = *sites.get(ordinal).ok_or_else(|| {
-            RunnerError::BadConfig(format!("conv ordinal {ordinal} out of range"))
-        })?;
-        let maps = net.conv(site.conv)?.out_channels();
-        let keep_count = ((maps as f32 / sp).round() as usize).clamp(1, maps);
-        let scoring_n = SCORING_IMAGES.min(self.ds.train_labels.len());
-        let idx: Vec<usize> = (0..scoring_n).collect();
-        let scoring_images = self.ds.train_images.index_select(0, &idx)?;
-        let scoring_labels: Vec<usize> = self.ds.train_labels[..scoring_n].to_vec();
-        let mut criterion = kind.build();
-        let keep = {
-            let mut ctx =
-                ScoreContext::new(&mut net, site, &scoring_images, &scoring_labels, &mut rng);
-            criterion.keep_set(&mut ctx, keep_count)?
-        };
-        prune_feature_maps(&mut net, site.conv, &keep)?;
-        criterion.post_surgery(&mut net, site, &keep)?;
+        let keep = LayerStep::baseline(kind, 1.0 / sp, &self.ds)?.prune(
+            &mut net,
+            ordinal,
+            &self.ds,
+            &mut rng,
+            &mut SerialExecutor,
+        )?;
         let accuracy = self.post_surgery_accuracy(&mut net, recalibrate)?;
         Ok(SingleLayerRun {
             kept: keep.len(),

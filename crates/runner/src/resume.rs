@@ -14,27 +14,24 @@
 //! walks the unit records **backwards past any checkpoint that fails
 //! its checksum** to the last verifying one, restores the RNG from that
 //! unit's snapshot, and continues with the first incomplete unit. Since
-//! the per-unit loop is a faithful mirror of the uninterrupted one and
+//! the per-unit loop is the very loop an uninterrupted run executes and
 //! the RNG snapshot is exact, a killed-and-resumed seeded run produces
 //! **bit-identical** masks, weights and accuracies — the parity the
 //! crash/resume test suite asserts.
 //!
 //! Resume granularity is per unit for the per-layer methods
-//! ([`Method::HeadStartLayers`] and [`Method::Baseline`], whose unit
-//! loops live here) and per stage for the block-level methods (their
-//! single RL episode loop reruns from the pre-trained checkpoint, which
-//! is equally deterministic because the prune RNG is freshly seeded).
+//! ([`Method::HeadStartLayers`] and [`Method::Baseline`]) and per stage
+//! for the block-level methods (their single RL episode loop reruns
+//! from the pre-trained checkpoint, which is equally deterministic
+//! because the prune RNG is freshly seeded).
 
 use std::path::Path;
 use std::time::Instant;
 
 use hs_coord::executor_for;
-use hs_core::{EngineObserver, LayerPruner, TelemetryObserver};
 use hs_nn::accounting::{analyze, NetworkCost};
-use hs_nn::surgery::{conv_sites, prune_feature_maps};
-use hs_nn::{checkpoint, train, Network};
+use hs_nn::{checkpoint, Network};
 use hs_pruning::driver::LayerTrace;
-use hs_pruning::ScoreContext;
 use hs_telemetry::io::write_json;
 use hs_telemetry::{Event, EventKind, Level, TelemetryConfig};
 use hs_tensor::Rng;
@@ -43,6 +40,7 @@ use crate::config::{Method, RunnerConfig};
 use crate::error::RunnerError;
 use crate::faults::crash_point;
 use crate::journal::{Journal, Stage, UnitRecord};
+use crate::layers::{prune_layers, LayerStep};
 use crate::manifest::ServeManifest;
 use crate::pipeline::{prepare, CompactSummary, PipelineReport, Prepared};
 use crate::report::{Phase, StageTiming};
@@ -57,11 +55,6 @@ pub const FINAL_CHECKPOINT: &str = "final.hsck";
 /// File name of the structurally compacted model inside a run
 /// directory (written by the `--compact` stage).
 pub const COMPACT_CHECKPOINT: &str = "compact.hsck";
-
-/// Scoring-subset size for baseline criteria, matching
-/// `hs_pruning::driver::prune_whole_model` so journaled baseline runs
-/// stay bit-identical to monolithic ones.
-const SCORING_IMAGES: usize = 64;
 
 /// Resumes an interrupted journaled run from its run directory: the
 /// journal supplies the full configuration, so no other flags are
@@ -261,11 +254,9 @@ fn serve_manifest(
     }
 }
 
-/// The journaled per-unit pruning loop shared by the per-layer methods.
-/// Each iteration mirrors one unit of the monolithic drivers
-/// (`HeadStartPruner::prune_model_observed` /
-/// `hs_pruning::driver::prune_whole_model`), then checkpoints the model
-/// and journals the unit before crossing the `prune_unit` crash point.
+/// The journaled run of a per-layer method: the same unit loop as a
+/// plain run, where each finished unit checkpoints the model and
+/// journals the unit before crossing the `prune_unit` crash point.
 fn run_units(
     cfg: &RunnerConfig,
     dir: &Path,
@@ -275,8 +266,6 @@ fn run_units(
     let label = cfg.method.label();
     let phase = Phase::start(&format!("prune: {label}"));
     let start_time = Instant::now();
-    let ds = &prepared.ds;
-    let ft = prepared.finetune();
 
     let (mut net, mut rng, start) = restore_prune_state(dir, prepared, journal, cfg.prune_seed)?;
 
@@ -284,115 +273,34 @@ fn run_units(
     // dropped (emitting `worker_done` telemetry and the utilization
     // gauge) when this function returns, before the metrics flush.
     let mut executor = executor_for(cfg.workers, cfg.prune_seed);
-
-    // Method-specific unit machinery, built fresh either way: the layer
-    // pruner and criteria carry no state across units.
-    enum Units {
-        HeadStart {
-            pruner: LayerPruner,
-            observer: TelemetryObserver,
+    let mut step = LayerStep::new(&cfg.method, prepared, cfg.prune_seed)?;
+    let final_accuracy = prune_layers(
+        prepared,
+        &mut step,
+        &mut net,
+        start,
+        &mut rng,
+        executor.as_mut(),
+        |net, rng, t, keep| {
+            let name = format!("unit-{:02}.hsck", t.conv_ordinal);
+            checkpoint::save(net, dir.join(&name))?;
+            journal.units.push(UnitRecord {
+                ordinal: t.conv_ordinal,
+                conv_node: t.conv_node,
+                maps_before: t.maps_before,
+                keep,
+                inception_accuracy: t.inception_accuracy,
+                finetuned_accuracy: t.finetuned_accuracy,
+                params_after: t.params_after,
+                flops_after: t.flops_after,
+                checkpoint: name,
+                rng_after: rng.snapshot(),
+            });
+            journal.save(dir)?;
+            crash_point("prune_unit")
         },
-        Baseline {
-            criterion: Box<dyn hs_pruning::PruningCriterion>,
-            keep_ratio: f32,
-            scoring_images: hs_tensor::Tensor,
-            scoring_labels: Vec<usize>,
-        },
-    }
-    let mut units = match &cfg.method {
-        Method::HeadStartLayers { .. } => {
-            let hs_cfg = cfg
-                .method
-                .headstart_config(&prepared.budget)
-                .ok_or_else(|| {
-                    RunnerError::BadConfig("HeadStart method without an RL config".to_string())
-                })?;
-            let observer = TelemetryObserver::from_config(&hs_cfg).with_trace_seed(cfg.prune_seed);
-            Units::HeadStart {
-                pruner: LayerPruner::new(hs_cfg),
-                observer,
-            }
-        }
-        Method::Baseline { kind, keep_ratio } => {
-            if !(0.0..=1.0).contains(keep_ratio) || *keep_ratio == 0.0 {
-                return Err(RunnerError::BadConfig(format!(
-                    "keep ratio {keep_ratio} outside (0, 1]"
-                )));
-            }
-            let scoring_n = SCORING_IMAGES.min(ds.train_labels.len());
-            let idx: Vec<usize> = (0..scoring_n).collect();
-            Units::Baseline {
-                criterion: kind.build(),
-                keep_ratio: *keep_ratio,
-                scoring_images: ds.train_images.index_select(0, &idx)?,
-                scoring_labels: ds.train_labels[..scoring_n].to_vec(),
-            }
-        }
-        _ => unreachable!("run_units only handles per-layer methods"),
-    };
-
-    let conv_count = net.conv_indices().len();
-    for ordinal in start..conv_count {
-        let conv_node = net.conv_indices()[ordinal];
-        let maps_before = net.conv(conv_node)?.out_channels();
-        let keep = match &mut units {
-            Units::HeadStart { pruner, observer } => {
-                observer.on_unit_start("layer", ordinal);
-                let decision = pruner.prune_executed(
-                    &mut net,
-                    ordinal,
-                    ds,
-                    &mut rng,
-                    observer,
-                    executor.as_mut(),
-                )?;
-                prune_feature_maps(&mut net, conv_node, &decision.keep)?;
-                decision.keep
-            }
-            Units::Baseline {
-                criterion,
-                keep_ratio,
-                scoring_images,
-                scoring_labels,
-            } => {
-                let site = conv_sites(&net)[ordinal];
-                let keep_count =
-                    ((maps_before as f32 * *keep_ratio).round() as usize).clamp(1, maps_before);
-                let keep = {
-                    let mut ctx =
-                        ScoreContext::new(&mut net, site, scoring_images, scoring_labels, &mut rng);
-                    criterion.keep_set(&mut ctx, keep_count)?
-                };
-                prune_feature_maps(&mut net, site.conv, &keep)?;
-                criterion.post_surgery(&mut net, site, &keep)?;
-                keep
-            }
-        };
-        let inception_accuracy = train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64)?;
-        ft.run(&mut net, &ds.train_images, &ds.train_labels, &mut rng)?;
-        let finetuned_accuracy = train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64)?;
-        let cost = analyze(&net, ds.channels(), ds.image_size())?;
-
-        let name = format!("unit-{ordinal:02}.hsck");
-        checkpoint::save(&net, dir.join(&name))?;
-        journal.units.push(UnitRecord {
-            ordinal,
-            conv_node,
-            maps_before,
-            keep,
-            inception_accuracy,
-            finetuned_accuracy,
-            params_after: cost.total_params,
-            flops_after: cost.total_flops,
-            checkpoint: name,
-            rng_after: rng.snapshot(),
-        });
-        journal.save(dir)?;
-        crash_point("prune_unit")?;
-    }
-
-    let final_accuracy = train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64)?;
-    let final_cost = analyze(&net, ds.channels(), ds.image_size())?;
+    )?;
+    let final_cost = analyze(&net, prepared.ds.channels(), prepared.ds.image_size())?;
     checkpoint::save(&net, dir.join(FINAL_CHECKPOINT))?;
     journal.stage = Stage::Finalized;
     journal.final_accuracy = Some(final_accuracy);

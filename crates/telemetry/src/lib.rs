@@ -5,7 +5,7 @@
 //! replacement for the usual `tracing` + `metrics` + `prometheus` stack,
 //! scoped to exactly what the pipeline needs:
 //!
-//! - **Spans** ([`span`], [`span!`]): named, nested wall-clock scopes.
+//! - **Spans** ([`mod@span`], [`span!`]): named, nested wall-clock scopes.
 //!   Each close emits one schema-versioned [`Event`] carrying the span's
 //!   path (`pipeline/pretrain`), depth and duration.
 //! - **Metrics** ([`metrics`]): a process-global registry of counters,

@@ -1,6 +1,7 @@
 //! Whole-model HeadStart pruning of a VGG on the fine-grained synthetic
-//! dataset — the pipeline behind the paper's Table 1, printed as the same
-//! layer-by-layer trace (maps / params / FLOPs / inception acc / FT acc).
+//! dataset — the pipeline behind the paper's Table 1, run through
+//! `hs-runner`'s per-layer loop and printed as the same layer-by-layer
+//! trace (maps / params / FLOPs / inception acc / FT acc).
 //!
 //! Run with:
 //!
@@ -10,62 +11,39 @@
 
 use std::error::Error;
 
-use headstart::core::{HeadStartConfig, HeadStartPruner};
-use headstart::data::{Dataset, DatasetSpec};
-use headstart::nn::accounting::analyze;
-use headstart::nn::optim::Sgd;
-use headstart::nn::{models, train};
-use headstart::pruning::driver::FineTune;
-use headstart::tensor::Rng;
+use headstart::runner::{prepare, Budget, DataChoice, Method, RunnerConfig};
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let mut rng = Rng::seed_from(7);
     // The fine-grained CUB-200 stand-in (classes share genera, so wrong
-    // pruning decisions hurt much more than on the CIFAR substitute).
-    let ds = Dataset::generate(&DatasetSpec::cub_like())?;
-
-    let mut net = models::vgg11(
-        ds.channels(),
-        ds.num_classes(),
-        ds.image_size(),
-        0.25,
-        &mut rng,
-    )?;
-    let mut opt = Sgd::new(0.05).momentum(0.9).weight_decay(5e-4);
-    for _ in 0..14 {
-        train::train_epoch(
-            &mut net,
-            &mut opt,
-            &ds.train_images,
-            &ds.train_labels,
-            32,
-            &mut rng,
-        )?;
-    }
-    let original = train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64)?;
-    let cost = analyze(&net, ds.channels(), ds.image_size())?;
+    // pruning decisions hurt much more than on the CIFAR substitute),
+    // pre-trained for 14 epochs, then pruned at sp = 2 with 40 RL
+    // episodes and 3 fine-tuning epochs per layer (scaled down from the
+    // paper's 40).
+    let mut cfg = RunnerConfig::new("prune_whole_vgg");
+    cfg.data = DataChoice::CubLike;
+    cfg.seed = 7;
+    cfg.budget = Budget {
+        pretrain_epochs: 14,
+        finetune_epochs: 3,
+        rl_episodes: 40,
+        rl_eval_images: 128,
+    };
+    let prepared = prepare(&cfg)?;
+    let cost = &prepared.original_cost;
     println!(
         "original: acc {:.2}%, {:.3}M params, {:.4}B MACs\n",
-        original * 100.0,
+        prepared.original_accuracy * 100.0,
         cost.params_millions(),
         cost.flops_billions()
     );
 
-    // Whole-model HeadStart pruning at sp = 2, fine-tuning 3 epochs per
-    // layer (scaled down from the paper's 40).
-    let cfg = HeadStartConfig::new(2.0).max_episodes(40);
-    let ft = FineTune {
-        epochs: 3,
-        ..FineTune::default()
-    };
-    let (outcome, _decisions) =
-        HeadStartPruner::new(cfg, ft).prune_model(&mut net, &ds, &mut rng)?;
+    let run = prepared.run_method(&Method::HeadStartLayers { sp: 2.0 }, 7)?;
 
     println!(
         "{:<8} {:>6} {:>6} {:>10} {:>10} {:>10} {:>9}",
         "LAYER", "#MAPS", "KEPT", "#PARAM(M)", "#MACS(B)", "ACC(INC)%", "ACC(FT)%"
     );
-    for t in &outcome.traces {
+    for t in &run.traces {
         println!(
             "conv{:<4} {:>6} {:>6} {:>10.3} {:>10.4} {:>10.2} {:>9.2}",
             t.conv_ordinal,
@@ -79,10 +57,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     println!(
         "\nfinal: acc {:.2}% ({:+.2}% vs original), {:.3}M params, compression {:.1}%",
-        outcome.final_accuracy * 100.0,
-        (outcome.final_accuracy - original) * 100.0,
-        outcome.cost.params_millions(),
-        100.0 * outcome.cost.total_params as f64 / cost.total_params as f64
+        run.final_accuracy * 100.0,
+        (run.final_accuracy - prepared.original_accuracy) * 100.0,
+        run.cost.params_millions(),
+        100.0 * run.cost.total_params as f64 / cost.total_params as f64
     );
     Ok(())
 }

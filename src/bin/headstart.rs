@@ -13,13 +13,12 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::process::ExitCode;
 
-use headstart::core::{HeadStartConfig, HeadStartPruner};
 use headstart::data::{cached, DatasetSpec};
 use headstart::gpusim::{devices, estimate};
 use headstart::nn::accounting::analyze;
 use headstart::nn::optim::Sgd;
 use headstart::nn::{checkpoint, models, train, Network};
-use headstart::pruning::driver::FineTune;
+use headstart::runner::{Budget, Method, Prepared};
 use headstart::tensor::Rng;
 
 const USAGE: &str = "\
@@ -133,15 +132,23 @@ fn cmd_prune(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let out = flag(flags, "out", "pruned.hsck");
     let ds = cached(&dataset_spec(flag(flags, "dataset", "cifar"))?)?;
     let mut net = checkpoint::load(model)?;
-    let mut rng = Rng::seed_from(seed);
-    let before = analyze(&net, ds.channels(), ds.image_size())?;
-    let cfg = HeadStartConfig::new(sp).max_episodes(episodes);
-    let ft = FineTune {
-        epochs: finetune,
-        ..FineTune::default()
+    let original_accuracy = train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64)?;
+    let original_cost = analyze(&net, ds.channels(), ds.image_size())?;
+    let prepared = Prepared {
+        ds,
+        net,
+        original_accuracy,
+        original_cost,
+        budget: Budget {
+            finetune_epochs: finetune,
+            rl_episodes: episodes,
+            rl_eval_images: 128,
+            ..Budget::full()
+        },
+        stages: Vec::new(),
     };
-    let (outcome, _) = HeadStartPruner::new(cfg, ft).prune_model(&mut net, &ds, &mut rng)?;
-    for t in &outcome.traces {
+    let run = prepared.run_method(&Method::HeadStartLayers { sp }, seed)?;
+    for t in &run.traces {
         println!(
             "conv{:2}: {:3} -> {:3} maps, inception {:.2}%, fine-tuned {:.2}%",
             t.conv_ordinal,
@@ -151,14 +158,16 @@ fn cmd_prune(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             t.finetuned_accuracy * 100.0
         );
     }
+    let before = &prepared.original_cost;
     println!(
-        "pruned: {:.4}M -> {:.4}M params ({:.1}%), final accuracy {:.2}%",
+        "pruned: {:.4}M -> {:.4}M params ({:.1}%), accuracy {:.2}% -> {:.2}%",
         before.params_millions(),
-        outcome.cost.params_millions(),
-        100.0 * outcome.cost.total_params as f64 / before.total_params as f64,
-        outcome.final_accuracy * 100.0
+        run.cost.params_millions(),
+        100.0 * run.cost.total_params as f64 / before.total_params as f64,
+        original_accuracy * 100.0,
+        run.final_accuracy * 100.0
     );
-    checkpoint::save(&net, out)?;
+    checkpoint::save(&run.net, out)?;
     println!("saved pruned checkpoint to {out}");
     Ok(())
 }

@@ -11,8 +11,8 @@
 //! * [`nn`] — layers, backprop, optimizers, VGG/ResNet model zoo,
 //!   parameter/FLOP accounting, channel masking and surgery;
 //! * [`data`] — synthetic CIFAR-100 / CUB-200 style dataset generators;
-//! * [`pruning`] — the baseline criteria (Li'17, APoZ, entropy, random,
-//!   ThiNet, AutoPruner) and whole-model pruning drivers;
+//! * [`pruning`] — the baseline criteria (Li'17, APoZ, random, ThiNet,
+//!   AutoPruner), the fine-tuning schedule and the from-scratch control;
 //! * [`core`] — HeadStart itself: head-start policy networks, the
 //!   REINFORCE loop with self-critical baseline, per-layer and per-block
 //!   pruners;
@@ -24,7 +24,8 @@
 //!   platforms;
 //! * [`runner`] — the config-driven end-to-end pipeline (dataset →
 //!   pre-train or checkpoint → prune → fine-tune → eval → JSON artifact)
-//!   that every experiment binary is built on;
+//!   that every experiment binary is built on, with the one per-layer
+//!   prune loop HeadStart and every baseline run;
 //! * [`serve`] — the deploy-time serving stack over a run's dense/pruned
 //!   checkpoint pair: bounded admission with typed load shedding,
 //!   deadline-aware micro-batching, a circuit breaker, and graceful

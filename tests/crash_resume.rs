@@ -72,21 +72,46 @@ fn assert_parity(reference: &PipelineReport, resumed: &PipelineReport) {
     );
 }
 
+/// Runs `method` plain and journaled from the same seeds, with one
+/// fine-tuning epoch per layer, and asserts the two reports agree bit
+/// for bit.
+fn assert_journaled_matches_plain(method: Method) {
+    let name = method.cli_name();
+    let mut cfg = lenet_config(&format!("cr-plain-{name}"));
+    cfg.method = method;
+    cfg.budget.finetune_epochs = 1;
+    let plain = run(&cfg).unwrap_or_else(|e| panic!("{name}: plain run: {e}"));
+
+    let dir = tmp_dir(&format!("cr-journaled-{name}"));
+    cfg.run_dir = Some(dir.clone());
+    let journaled = run(&cfg).unwrap_or_else(|e| panic!("{name}: journaled run: {e}"));
+
+    assert_parity(&plain, &journaled);
+    assert!(
+        dir.join(FINAL_CHECKPOINT).exists(),
+        "{name}: final checkpoint"
+    );
+    assert!(dir.join("run.journal.json").exists(), "{name}: journal");
+    assert!(dir.join("unit-00.hsck").exists(), "{name}: unit checkpoint");
+}
+
 #[test]
 fn journaled_run_matches_plain_run() {
     let _guard = lock();
     disarm();
-    let plain = run(&lenet_config("cr-plain")).expect("plain run");
-
-    let dir = tmp_dir("cr-journaled");
-    let mut cfg = lenet_config("cr-plain");
-    cfg.run_dir = Some(dir.clone());
-    let journaled = run(&cfg).expect("journaled run");
-
-    assert_parity(&plain, &journaled);
-    assert!(dir.join(FINAL_CHECKPOINT).exists(), "final checkpoint");
-    assert!(dir.join("run.journal.json").exists(), "journal");
-    assert!(dir.join("unit-00.hsck").exists(), "per-unit checkpoint");
+    assert_journaled_matches_plain(Method::HeadStartLayers { sp: 2.0 });
+    for kind in [
+        BaselineKind::Random,
+        BaselineKind::L1,
+        BaselineKind::Apoz,
+        BaselineKind::ThiNet,
+        BaselineKind::AutoPruner { iterations: 3 },
+    ] {
+        assert_journaled_matches_plain(Method::Baseline {
+            kind,
+            keep_ratio: 0.5,
+        });
+    }
 }
 
 #[test]

@@ -1,17 +1,17 @@
 //! Cross-crate integration tests: the full train → prune → fine-tune →
 //! estimate pipelines, at miniature scale.
 
-use headstart::core::{BlockPruner, HeadStartConfig, HeadStartPruner, LayerPruner};
+use std::sync::Arc;
+
+use headstart::core::{BlockPruner, HeadStartConfig, LayerPruner};
 use headstart::data::{Dataset, DatasetSpec};
 use headstart::gpusim::{devices, estimate};
 use headstart::nn::accounting::analyze;
 use headstart::nn::optim::Sgd;
 use headstart::nn::{models, surgery, train};
-use headstart::pruning::driver::{prune_whole_model, train_from_scratch, FineTune};
-use headstart::pruning::{
-    Apoz, AutoPruner, EntropyCriterion, L1Norm, LassoChannel, Random, Slimming, TaylorCriterion,
-    ThiNet,
-};
+use headstart::pruning::driver::FineTune;
+use headstart::pruning::Random;
+use headstart::runner::{BaselineKind, Budget, Method, Prepared};
 use headstart::tensor::Rng;
 
 fn tiny_dataset() -> Dataset {
@@ -42,78 +42,88 @@ fn pretrain(ds: &Dataset, width: f32, epochs: usize, rng: &mut Rng) -> headstart
     net
 }
 
+/// A VGG-11 pre-trained on the tiny dataset, ready for the runner's
+/// methods under a budget with `finetune_epochs` per layer.
+fn prepared(width: f32, epochs: usize, seed: u64, finetune_epochs: usize) -> Prepared {
+    let ds = tiny_dataset();
+    let mut net = pretrain(&ds, width, epochs, &mut Rng::seed_from(seed));
+    let original_accuracy =
+        train::evaluate(&mut net, &ds.test_images, &ds.test_labels, 64).expect("evaluate");
+    let original_cost = analyze(&net, ds.channels(), ds.image_size()).expect("cost");
+    Prepared {
+        ds: Arc::new(ds),
+        net,
+        original_accuracy,
+        original_cost,
+        budget: Budget {
+            pretrain_epochs: epochs,
+            finetune_epochs,
+            rl_episodes: 6,
+            rl_eval_images: 16,
+        },
+        stages: Vec::new(),
+    }
+}
+
+fn l1_half() -> Method {
+    Method::Baseline {
+        kind: BaselineKind::L1,
+        keep_ratio: 0.5,
+    }
+}
+
 #[test]
 fn every_baseline_criterion_completes_a_whole_model_prune() {
-    let ds = tiny_dataset();
-    let mut rng = Rng::seed_from(1);
-    let net = pretrain(&ds, 0.125, 2, &mut rng);
-    let ft = FineTune {
-        epochs: 1,
-        ..FineTune::default()
-    };
-    let full_cost = analyze(&net, ds.channels(), ds.image_size()).unwrap();
-
-    let mut criteria: Vec<Box<dyn headstart::pruning::PruningCriterion>> = vec![
-        Box::new(L1Norm::new()),
-        Box::new(Apoz::new()),
-        Box::new(EntropyCriterion::new()),
-        Box::new(Random::new()),
-        Box::new(ThiNet::new().samples(32)),
-        Box::new(AutoPruner::new().iterations(4)),
-        Box::new(Slimming::new()),
-        Box::new(TaylorCriterion::new().batches(2)),
-        Box::new(LassoChannel::new().samples(32)),
-    ];
-    for criterion in criteria.iter_mut() {
-        let mut pruned = net.clone();
-        let outcome = prune_whole_model(&mut pruned, criterion.as_mut(), 0.5, &ds, &ft, &mut rng)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", criterion.name()));
+    let prepared = prepared(0.125, 2, 1, 1);
+    for kind in [
+        BaselineKind::L1,
+        BaselineKind::Apoz,
+        BaselineKind::Random,
+        BaselineKind::ThiNet,
+        BaselineKind::AutoPruner { iterations: 4 },
+    ] {
+        let method = Method::Baseline {
+            kind,
+            keep_ratio: 0.5,
+        };
+        let mut run = prepared
+            .run_method(&method, 1)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", kind.label()));
         assert!(
-            outcome.cost.total_params < full_cost.total_params,
+            run.cost.total_params < prepared.original_cost.total_params,
             "{}",
-            criterion.name()
+            kind.label()
         );
         assert!(
-            pruned.forward(&ds.test_images, false).is_ok(),
+            run.net.forward(&prepared.ds.test_images, false).is_ok(),
             "{}",
-            criterion.name()
+            kind.label()
         );
-        assert_eq!(outcome.traces.len(), 8);
+        assert_eq!(run.traces.len(), 8);
     }
 }
 
 #[test]
 fn headstart_whole_model_pipeline_is_deterministic() {
-    let ds = tiny_dataset();
-    let cfg = HeadStartConfig::new(2.0).max_episodes(6).eval_images(16);
-    let ft = FineTune {
-        epochs: 1,
-        ..FineTune::default()
-    };
+    let prepared = prepared(0.125, 2, 7, 1);
     let run = |seed: u64| {
-        let mut rng = Rng::seed_from(seed);
-        let mut net = pretrain(&ds, 0.125, 2, &mut rng);
-        let (outcome, _) = HeadStartPruner::new(cfg.clone(), ft)
-            .prune_model(&mut net, &ds, &mut rng)
+        let run = prepared
+            .run_method(&Method::HeadStartLayers { sp: 2.0 }, seed)
             .expect("prune");
         (
-            outcome.final_accuracy,
-            outcome
-                .traces
-                .iter()
-                .map(|t| t.maps_after)
-                .collect::<Vec<_>>(),
+            run.final_accuracy,
+            run.traces.iter().map(|t| t.maps_after).collect::<Vec<_>>(),
         )
     };
     let (acc_a, maps_a) = run(7);
     let (acc_b, maps_b) = run(7);
-    assert_eq!(acc_a, acc_b);
+    assert_eq!(acc_a.to_bits(), acc_b.to_bits());
     assert_eq!(maps_a, maps_b);
-    let (_, maps_c) = run(8);
+    let (acc_c, maps_c) = run(8);
     // A different seed virtually always chooses at least one different
     // layer width at this scale.
     assert!(
-        maps_a != maps_c || acc_a != run(8).0,
+        maps_a != maps_c || acc_a != acc_c,
         "different seeds gave identical runs"
     );
 }
@@ -171,20 +181,13 @@ fn headstart_single_layer_competitive_with_random_on_inception_accuracy() {
 
 #[test]
 fn from_scratch_uses_the_pruned_architecture() {
-    let ds = tiny_dataset();
-    let mut rng = Rng::seed_from(4);
-    let mut net = pretrain(&ds, 0.125, 1, &mut rng);
-    let ft = FineTune {
-        epochs: 0,
-        ..FineTune::default()
-    };
-    prune_whole_model(&mut net, &mut L1Norm::new(), 0.5, &ds, &ft, &mut rng).unwrap();
-    let pruned_cost = analyze(&net, ds.channels(), ds.image_size()).unwrap();
-    let acc = train_from_scratch(&net, &ds, 2, &FineTune::default(), &mut rng).unwrap();
-    assert!((0.0..=1.0).contains(&acc));
-    // Architecture unchanged by from-scratch training.
-    let cost_after = analyze(&net, ds.channels(), ds.image_size()).unwrap();
-    assert_eq!(pruned_cost.total_params, cost_after.total_params);
+    let prepared = prepared(0.125, 1, 4, 0);
+    let pruned = prepared.run_method(&l1_half(), 4).expect("prune");
+    let scratch = prepared.run_scratch(&pruned.net, 2, 5).expect("scratch");
+    assert!((0.0..=1.0).contains(&scratch.final_accuracy));
+    // From-scratch training keeps the pruned architecture.
+    assert_eq!(scratch.cost.total_params, pruned.cost.total_params);
+    assert!(scratch.cost.total_params < prepared.original_cost.total_params);
 }
 
 #[test]
@@ -210,54 +213,17 @@ fn block_pruned_resnet_runs_and_costs_less() {
 
 #[test]
 fn pruning_makes_models_faster_on_every_simulated_device() {
-    let ds = tiny_dataset();
-    let mut rng = Rng::seed_from(6);
-    let mut net = pretrain(&ds, 0.25, 1, &mut rng);
-    let before: Vec<f64> = devices::all()
-        .iter()
-        .map(|d| {
-            estimate(d, &net, ds.channels(), ds.image_size())
-                .unwrap()
-                .fps()
-        })
-        .collect();
-    let ft = FineTune {
-        epochs: 0,
-        ..FineTune::default()
-    };
-    prune_whole_model(&mut net, &mut L1Norm::new(), 0.5, &ds, &ft, &mut rng).unwrap();
-    for (d, &fps_before) in devices::all().iter().zip(&before) {
-        let fps_after = estimate(d, &net, ds.channels(), ds.image_size())
-            .unwrap()
-            .fps();
+    let prepared = prepared(0.25, 1, 6, 0);
+    let (channels, size) = (prepared.ds.channels(), prepared.ds.image_size());
+    let pruned = prepared.run_method(&l1_half(), 6).expect("prune");
+    for d in devices::all() {
+        let fps_before = estimate(&d, &prepared.net, channels, size).unwrap().fps();
+        let fps_after = estimate(&d, &pruned.net, channels, size).unwrap().fps();
         assert!(
             fps_after > fps_before,
             "{}: {fps_after} fps not faster than {fps_before}",
             d.name
         );
-    }
-}
-
-#[test]
-fn headstart_criterion_adapter_plugs_into_the_baseline_driver() {
-    // The adapter lets the RL method run under the exact-keep-count
-    // protocol of the baseline driver (used for controlled Figure-3
-    // comparisons).
-    use headstart::core::HeadStartCriterion;
-    let ds = tiny_dataset();
-    let mut rng = Rng::seed_from(21);
-    let mut net = pretrain(&ds, 0.125, 2, &mut rng);
-    let ft = FineTune {
-        epochs: 0,
-        ..FineTune::default()
-    };
-    let mut criterion =
-        HeadStartCriterion::new(HeadStartConfig::new(2.0).max_episodes(4).eval_images(8));
-    let outcome = prune_whole_model(&mut net, &mut criterion, 0.5, &ds, &ft, &mut rng).unwrap();
-    assert_eq!(outcome.criterion, "HeadStart");
-    // Exact keep counts, like every other driver run.
-    for t in &outcome.traces {
-        assert_eq!(t.maps_after, t.maps_before.div_ceil(2));
     }
 }
 

@@ -3,9 +3,16 @@
 //! same pipeline as HeadStart.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use headstart::coord::Coordinator;
-use headstart::runner::{prepare, run, BaselineKind, Budget, Method, RunnerConfig, RunnerError};
+use headstart::data::{Dataset, DatasetSpec};
+use headstart::nn::accounting::analyze;
+use headstart::nn::models;
+use headstart::runner::{
+    prepare, run, BaselineKind, Budget, Method, Prepared, RunnerConfig, RunnerError,
+};
+use headstart::tensor::Rng;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -17,6 +24,32 @@ fn smoke_config(label: &str) -> RunnerConfig {
     let mut cfg = RunnerConfig::new(label);
     cfg.budget = Budget::smoke();
     cfg
+}
+
+/// An untrained eighth-width VGG-11 on a tiny dataset, with one
+/// fine-tuning epoch per layer: enough to drive the per-layer loop.
+fn tiny_vgg11() -> Prepared {
+    let ds = Dataset::generate(
+        &DatasetSpec::cifar_like()
+            .classes(4)
+            .train_per_class(8)
+            .test_per_class(4)
+            .image_size(8),
+    )
+    .expect("valid spec");
+    let net = models::vgg11(3, 4, 8, 0.125, &mut Rng::seed_from(0)).expect("model");
+    let original_cost = analyze(&net, 3, 8).expect("cost");
+    Prepared {
+        ds: Arc::new(ds),
+        net,
+        original_accuracy: 0.0,
+        original_cost,
+        budget: Budget {
+            finetune_epochs: 1,
+            ..Budget::smoke()
+        },
+        stages: Vec::new(),
+    }
 }
 
 #[test]
@@ -132,4 +165,56 @@ fn bad_cli_config_fails_fast() {
         Err(RunnerError::BadConfig(detail)) => assert!(detail.contains("nope")),
         other => panic!("expected BadConfig, got {other:?}"),
     }
+}
+
+#[test]
+fn l1_keeps_half_of_every_vgg11_conv_and_params_never_rise() {
+    let prepared = tiny_vgg11();
+    let run = prepared
+        .run_method(
+            &Method::Baseline {
+                kind: BaselineKind::L1,
+                keep_ratio: 0.5,
+            },
+            0,
+        )
+        .expect("l1 run");
+    assert_eq!(run.traces.len(), 8, "VGG-11 has 8 convs");
+    for t in &run.traces {
+        assert_eq!(
+            t.maps_after,
+            t.maps_before.div_ceil(2),
+            "conv {}",
+            t.conv_ordinal
+        );
+    }
+    assert!(run.cost.total_params < prepared.original_cost.total_params);
+    assert!(run.cost.total_flops < prepared.original_cost.total_flops);
+    for pair in run.traces.windows(2) {
+        assert!(pair[1].params_after <= pair[0].params_after);
+    }
+}
+
+#[test]
+fn bad_keep_ratios_and_conv_ordinals_are_typed_errors() {
+    let prepared = tiny_vgg11();
+    for keep_ratio in [0.0, 1.5] {
+        let method = Method::Baseline {
+            kind: BaselineKind::L1,
+            keep_ratio,
+        };
+        match prepared.run_method(&method, 3) {
+            Err(RunnerError::BadConfig(detail)) => assert!(detail.contains("keep ratio")),
+            other => panic!("keep ratio {keep_ratio}: expected BadConfig, got {other:?}"),
+        }
+    }
+    match prepared.single_layer_baseline(BaselineKind::Random, 99, 2.0, false, 1) {
+        Err(RunnerError::BadConfig(detail)) => assert!(detail.contains("99")),
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    let single = prepared
+        .single_layer_baseline(BaselineKind::Random, 0, 2.0, false, 1)
+        .expect("in-range ordinal");
+    assert_eq!(single.kept, 4, "half of conv 0's 8 maps");
+    assert!((0.0..=1.0).contains(&single.accuracy));
 }
