@@ -1,5 +1,5 @@
 //! Shared plumbing for the experiment binaries (one per paper
-//! table/figure) and the Criterion micro-benchmarks.
+//! table/figure) and the `bench_kernels` GEMM benchmark.
 //!
 //! The pipeline itself — budgets, pre-training, phase stopwatches, JSON
 //! artifacts, whole-model prune drivers — lives in the `hs-runner`

@@ -19,6 +19,7 @@ use hs_chaos::{
     CampaignConfig, Target, ORACLES,
 };
 use hs_telemetry::faults::FaultPlan;
+use hs_telemetry::flags::Flags;
 
 const USAGE: &str = "usage: hs_chaos <command> [args]
 
@@ -48,39 +49,6 @@ fn fail(message: impl std::fmt::Display) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Pulls the value after `flag` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return false;
-    };
-    args.remove(pos);
-    true
-}
-
-/// Parses a count flag with `hs_run --workers` parity: non-integers name
-/// the flag and the value, zero is rejected rather than clamped.
-fn parse_count(value: &str, flag: &str) -> Result<u64, String> {
-    let n = value
-        .parse::<u64>()
-        .map_err(|_| format!("{flag}: expected integer, got `{value}`"))?;
-    if n == 0 {
-        return Err(format!("{flag}: must be at least 1"));
-    }
-    Ok(n)
-}
-
 fn parse_target(value: &str) -> Result<Target, String> {
     Target::parse(value)
         .ok_or_else(|| format!("unknown target `{value}` (valid targets: pipeline, coord, fleet)"))
@@ -88,13 +56,6 @@ fn parse_target(value: &str) -> Result<Target, String> {
 
 fn parse_plan(spec: &str) -> Result<FaultPlan, String> {
     FaultPlan::parse(spec).map_err(|e| e.to_string())
-}
-
-fn reject_extras(args: &[String]) -> Result<(), String> {
-    if let Some(extra) = args.first() {
-        return Err(format!("unexpected argument `{extra}`"));
-    }
-    Ok(())
 }
 
 /// Resolves the parity reference for a pipeline-family exec/shrink: the
@@ -113,27 +74,23 @@ fn resolve_reference(
     }
 }
 
-fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let seed = take_flag(&mut args, "--seed")?.ok_or("campaign needs --seed N")?;
-    let seed = parse_count(&seed, "--seed")?;
-    let schedules = take_flag(&mut args, "--schedules")?.ok_or("campaign needs --schedules N")?;
-    let schedules = parse_count(&schedules, "--schedules")?;
-    let targets = match take_flag(&mut args, "--targets")? {
+fn cmd_campaign(mut f: Flags) -> Result<ExitCode, String> {
+    let seed = f.count("--seed")?.ok_or("campaign needs --seed N")?;
+    let schedules = f
+        .count("--schedules")?
+        .ok_or("campaign needs --schedules N")?;
+    let targets = match f.value("--targets")? {
         Some(csv) => csv
             .split(',')
             .map(parse_target)
             .collect::<Result<Vec<_>, _>>()?,
         None => Target::ALL.to_vec(),
     };
-    let intensity = match take_flag(&mut args, "--intensity")? {
-        Some(value) => parse_count(&value, "--intensity")? as usize,
-        None => 3,
-    };
-    let out_dir =
-        take_flag(&mut args, "--out")?.map_or_else(|| PathBuf::from("chaos-out"), PathBuf::from);
-    let subprocess = take_switch(&mut args, "--subprocess");
-    let keep_dirs = take_switch(&mut args, "--keep-dirs");
-    reject_extras(&args)?;
+    let intensity = f.count("--intensity")?.unwrap_or(3) as usize;
+    let out_dir = PathBuf::from(f.value("--out")?.unwrap_or("chaos-out".into()));
+    let subprocess = f.switch("--subprocess")?;
+    let keep_dirs = f.switch("--keep-dirs")?;
+    f.done()?;
 
     let cfg = CampaignConfig {
         seed,
@@ -175,24 +132,19 @@ fn cmd_campaign(mut args: Vec<String>) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_exec(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let target = take_flag(&mut args, "--target")?.ok_or("exec needs --target T")?;
-    let target = parse_target(&target)?;
-    let dir = take_flag(&mut args, "--dir")?.ok_or("exec needs --dir DIR")?;
-    let dir = PathBuf::from(dir);
-    let seed = match take_flag(&mut args, "--seed")? {
-        Some(value) => parse_count(&value, "--seed")?,
-        None => 1,
-    };
-    let plan = match take_flag(&mut args, "--plan")? {
+fn cmd_exec(mut f: Flags) -> Result<ExitCode, String> {
+    let target = parse_target(&f.value("--target")?.ok_or("exec needs --target T")?)?;
+    let dir = PathBuf::from(f.value("--dir")?.ok_or("exec needs --dir DIR")?);
+    let seed = f.count("--seed")?.unwrap_or(1);
+    let plan = match f.value("--plan")? {
         Some(spec) => parse_plan(&spec)?,
         // With no explicit plan, derive the schedule exactly as a
         // campaign with this seed/index would.
         None => generate_plan(target, seed, 3),
     };
-    let reference = take_flag(&mut args, "--reference")?;
-    let result_path = take_flag(&mut args, "--result")?;
-    reject_extras(&args)?;
+    let reference = f.value("--reference")?;
+    let result_path = f.value("--result")?;
+    f.done()?;
 
     let reference = resolve_reference(target, reference.as_ref(), &dir)?;
     let eval = exec_schedule(target, &plan, seed, &dir, &reference);
@@ -214,26 +166,20 @@ fn cmd_exec(mut args: Vec<String>) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_shrink(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let target = take_flag(&mut args, "--target")?.ok_or("shrink needs --target T")?;
-    let target = parse_target(&target)?;
-    let plan = take_flag(&mut args, "--plan")?.ok_or("shrink needs --plan SPEC")?;
-    let plan = parse_plan(&plan)?;
-    let oracle = take_flag(&mut args, "--oracle")?.ok_or("shrink needs --oracle NAME")?;
+fn cmd_shrink(mut f: Flags) -> Result<ExitCode, String> {
+    let target = parse_target(&f.value("--target")?.ok_or("shrink needs --target T")?)?;
+    let plan = parse_plan(&f.value("--plan")?.ok_or("shrink needs --plan SPEC")?)?;
+    let oracle = f.value("--oracle")?.ok_or("shrink needs --oracle NAME")?;
     if !ORACLES.contains(&oracle.as_str()) {
         return Err(format!(
             "unknown oracle `{oracle}` (valid oracles: {})",
             ORACLES.join(", ")
         ));
     }
-    let dir = take_flag(&mut args, "--dir")?.ok_or("shrink needs --dir DIR")?;
-    let dir = PathBuf::from(dir);
-    let seed = match take_flag(&mut args, "--seed")? {
-        Some(value) => parse_count(&value, "--seed")?,
-        None => 1,
-    };
-    let reference = take_flag(&mut args, "--reference")?;
-    reject_extras(&args)?;
+    let dir = PathBuf::from(f.value("--dir")?.ok_or("shrink needs --dir DIR")?);
+    let seed = f.count("--seed")?.unwrap_or(1);
+    let reference = f.value("--reference")?;
+    f.done()?;
 
     let reference = resolve_reference(target, reference.as_ref(), &dir)?;
     let work = dir.join("shrink-work");
@@ -255,10 +201,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let command = args.remove(0);
+    let flags = Flags::new(args);
     let result = match command.as_str() {
-        "campaign" => cmd_campaign(args),
-        "exec" => cmd_exec(args),
-        "shrink" => cmd_shrink(args),
+        "campaign" => cmd_campaign(flags),
+        "exec" => cmd_exec(flags),
+        "shrink" => cmd_shrink(flags),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     match result {

@@ -13,6 +13,38 @@ pub enum DatasetKind {
     CubLike,
 }
 
+impl DatasetKind {
+    /// The default specification of this family
+    /// ([`DatasetSpec::cifar_like`] / [`DatasetSpec::cub_like`]).
+    pub fn spec(&self) -> DatasetSpec {
+        match self {
+            DatasetKind::CifarLike => DatasetSpec::cifar_like(),
+            DatasetKind::CubLike => DatasetSpec::cub_like(),
+        }
+    }
+
+    /// CLI name, the inverse of [`DatasetKind::parse`].
+    pub fn name(&self) -> &'static str {
+        match self {
+            DatasetKind::CifarLike => "cifar",
+            DatasetKind::CubLike => "cub",
+        }
+    }
+
+    /// Parses a CLI name.
+    ///
+    /// # Errors
+    ///
+    /// Names the valid choices when `s` is not one of them.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s {
+            "cifar" => Ok(DatasetKind::CifarLike),
+            "cub" => Ok(DatasetKind::CubLike),
+            other => Err(format!("unknown dataset `{other}` (use cifar or cub)")),
+        }
+    }
+}
+
 /// Specification of a synthetic dataset; construct with
 /// [`DatasetSpec::cifar_like`] / [`DatasetSpec::cub_like`] and refine with
 /// the builder methods.

@@ -31,6 +31,11 @@
 //! Modules: [`engine`] (front door, failover, hedging), [`health`]
 //! (probe-driven replica state machine), [`balancer`] (routing
 //! policies).
+//!
+//! The crate also builds the one serving binary, `hs_serve`: it sits
+//! here because this is the lowest crate that sees both engines.
+//! `--replicas 1` (the default) serves on one bare engine, and
+//! `--replicas N` on a fleet of N.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

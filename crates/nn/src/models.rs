@@ -15,6 +15,56 @@ use crate::error::NnError;
 use crate::layer::{AvgPool2d, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU};
 use crate::network::{Network, Node};
 
+/// The zoo's architectures, as runs and manifests name them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ModelKind {
+    /// VGG-11 with batch norm.
+    Vgg11,
+    /// VGG-16 with batch norm.
+    Vgg16,
+    /// CIFAR-style ResNet with `n` blocks per group (depth `6n + 2`).
+    ResNetCifar {
+        /// Blocks per group.
+        n: usize,
+    },
+    /// LeNet-style small conv net.
+    LeNet,
+    /// AlexNet-style conv net.
+    AlexNet,
+}
+
+impl ModelKind {
+    /// CLI name, the inverse of [`ModelKind::parse`].
+    pub fn name(&self) -> String {
+        match self {
+            ModelKind::Vgg11 => "vgg11".to_string(),
+            ModelKind::Vgg16 => "vgg16".to_string(),
+            ModelKind::ResNetCifar { n } => format!("resnet{}", resnet_depth(*n)),
+            ModelKind::LeNet => "lenet".to_string(),
+            ModelKind::AlexNet => "alexnet".to_string(),
+        }
+    }
+
+    /// Parses a CLI name.
+    ///
+    /// # Errors
+    ///
+    /// Names the valid choices when `name` is not one of them.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "vgg11" => Ok(ModelKind::Vgg11),
+            "vgg16" => Ok(ModelKind::Vgg16),
+            "resnet20" => Ok(ModelKind::ResNetCifar { n: 3 }),
+            "resnet38" => Ok(ModelKind::ResNetCifar { n: 6 }),
+            "lenet" => Ok(ModelKind::LeNet),
+            "alexnet" => Ok(ModelKind::AlexNet),
+            other => Err(format!(
+                "unknown model `{other}` (use vgg11|vgg16|resnet20|resnet38|lenet|alexnet)"
+            )),
+        }
+    }
+}
+
 /// One element of a VGG configuration string: a convolution of the given
 /// base width, or a max-pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

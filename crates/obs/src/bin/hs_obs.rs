@@ -24,6 +24,7 @@ use hs_obs::{
     bench_check, build_report, diff_metrics, final_metrics, load_events, render_timeline,
     report_json, report_table, resolve_trace, trace_timeline, EventRec,
 };
+use hs_telemetry::flags::Flags;
 use hs_telemetry::schema::{self, Json};
 
 const USAGE: &str = "usage: hs_obs <command> [args]
@@ -59,51 +60,23 @@ fn read_json(path: &Path) -> Result<Json, String> {
     schema::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Pulls the value after `flag` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return false;
-    };
-    args.remove(pos);
-    true
-}
-
-fn parse_f64(value: &str, flag: &str) -> Result<f64, String> {
-    value
-        .parse::<f64>()
-        .map_err(|_| format!("{flag} needs a number, got `{value}`"))
-}
-
-fn cmd_trace(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let events_path = take_flag(&mut args, "--events")?.ok_or("trace needs --events FILE")?;
-    let [query] = args.as_slice() else {
-        return Err("trace needs exactly one ID argument".to_string());
-    };
+fn cmd_trace(mut f: Flags) -> Result<ExitCode, String> {
+    let events_path = f.value("--events")?.ok_or("trace needs --events FILE")?;
+    let [query] = f
+        .finish()?
+        .try_into()
+        .map_err(|_| "trace needs exactly one ID argument")?;
     let events = read_events(Path::new(&events_path))?;
-    let trace_id = resolve_trace(&events, query)?;
+    let trace_id = resolve_trace(&events, &query)?;
     let rows = trace_timeline(&events, trace_id);
     print!("{}", render_timeline(trace_id, &rows));
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_report(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let events_path = take_flag(&mut args, "--events")?.ok_or("report needs --events FILE")?;
-    let as_json = take_switch(&mut args, "--json");
-    if !args.is_empty() {
-        return Err(format!("unexpected argument `{}`", args[0]));
-    }
+fn cmd_report(mut f: Flags) -> Result<ExitCode, String> {
+    let events_path = f.value("--events")?.ok_or("report needs --events FILE")?;
+    let as_json = f.switch("--json")?;
+    f.done()?;
     let events = read_events(Path::new(&events_path))?;
     let report = build_report(&events);
     if as_json {
@@ -114,16 +87,14 @@ fn cmd_report(mut args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let threshold = match take_flag(&mut args, "--threshold")? {
-        Some(v) => parse_f64(&v, "--threshold")?,
-        None => 0.05,
-    };
-    let [a, b] = args.as_slice() else {
-        return Err("diff needs exactly two event files".to_string());
-    };
-    let metrics_a = final_metrics(&read_events(Path::new(a))?);
-    let metrics_b = final_metrics(&read_events(Path::new(b))?);
+fn cmd_diff(mut f: Flags) -> Result<ExitCode, String> {
+    let threshold = f.parse("--threshold", "a number")?.unwrap_or(0.05);
+    let [a, b] = f
+        .finish()?
+        .try_into()
+        .map_err(|_| "diff needs exactly two event files")?;
+    let metrics_a = final_metrics(&read_events(Path::new(&a))?);
+    let metrics_b = final_metrics(&read_events(Path::new(&b))?);
     let deltas = diff_metrics(&metrics_a, &metrics_b, threshold);
     if deltas.is_empty() {
         println!("no metric moved beyond {threshold} (relative)");
@@ -141,18 +112,17 @@ fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_bench_check(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let baseline_path =
-        take_flag(&mut args, "--baseline")?.ok_or("bench-check needs --baseline FILE")?;
-    let tolerance = match take_flag(&mut args, "--tolerance")? {
-        Some(v) => parse_f64(&v, "--tolerance")?,
-        None => 0.3,
-    };
-    let warn_only = take_switch(&mut args, "--warn-only");
-    let [current_path] = args.as_slice() else {
-        return Err("bench-check needs exactly one CURRENT file".to_string());
-    };
-    let current = read_json(Path::new(current_path))?;
+fn cmd_bench_check(mut f: Flags) -> Result<ExitCode, String> {
+    let baseline_path = f
+        .value("--baseline")?
+        .ok_or("bench-check needs --baseline FILE")?;
+    let tolerance = f.parse("--tolerance", "a number")?.unwrap_or(0.3);
+    let warn_only = f.switch("--warn-only")?;
+    let [current_path] = f
+        .finish()?
+        .try_into()
+        .map_err(|_| "bench-check needs exactly one CURRENT file")?;
+    let current = read_json(Path::new(&current_path))?;
     let baseline = read_json(Path::new(&baseline_path))?;
     let regressions = bench_check(&current, &baseline, tolerance);
     if regressions.is_empty() {
@@ -183,11 +153,12 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let command = args.remove(0);
+    let flags = Flags::new(args);
     let result = match command.as_str() {
-        "trace" => cmd_trace(args),
-        "report" => cmd_report(args),
-        "diff" => cmd_diff(args),
-        "bench-check" => cmd_bench_check(args),
+        "trace" => cmd_trace(flags),
+        "report" => cmd_report(flags),
+        "diff" => cmd_diff(flags),
+        "bench-check" => cmd_bench_check(flags),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     match result {

@@ -8,8 +8,9 @@
 //! Flags: `--label --data --model --width --method --sp --keep --seed
 //! --prune-seed --quick --smoke --pretrain --finetune --episodes
 //! --eval-images --checkpoint --artifact --telemetry --metrics
-//! --log-level --run-dir --compact --workers`. See
-//! `RunnerConfig::from_args`.
+//! --log-level --run-dir --compact --workers`, parsed by
+//! `RunnerConfig::from_args` (`--quick`/`--smoke` set the budget before
+//! the per-field budget flags, wherever they appear).
 //!
 //! With `--workers N` the REINFORCE search shards each episode's
 //! candidate evaluations across `N` coordinator worker threads
@@ -28,6 +29,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hs_runner::{pct, resume_run, run, PipelineReport, RunnerConfig, RunnerError};
+use hs_telemetry::flags::Flags;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,24 +59,19 @@ fn main() -> ExitCode {
         eprintln!("hs_run: {e}");
         return ExitCode::FAILURE;
     }
-    let outcome = if let Some(pos) = args.iter().position(|a| a == "--resume") {
-        match args.get(pos + 1) {
-            Some(dir) if args.len() == 2 => resume_run(Path::new(dir)),
-            Some(_) => Err(RunnerError::BadConfig(
-                "--resume takes no other flags (the journal carries the config)".to_string(),
-            )),
-            None => Err(RunnerError::BadConfig(
-                "--resume needs a run directory".to_string(),
-            )),
-        }
-    } else {
-        match RunnerConfig::from_args(&args) {
+    let outcome = match Flags::new(args.clone()).value("--resume") {
+        Ok(Some(dir)) if args.len() == 2 => resume_run(Path::new(&dir)),
+        Ok(Some(_)) => Err(RunnerError::BadConfig(
+            "--resume takes no other flags (the journal carries the config)".to_string(),
+        )),
+        Err(e) => Err(RunnerError::BadConfig(e)),
+        Ok(None) => match RunnerConfig::from_args(&args) {
             Ok(cfg) => run(&cfg),
             Err(e) => {
                 eprintln!("hs_run: {e}");
                 return ExitCode::FAILURE;
             }
-        }
+        },
     };
     match outcome {
         Ok(report) => {

@@ -5,74 +5,17 @@
 use std::path::PathBuf;
 
 use hs_core::HeadStartConfig;
-use hs_data::{Dataset, DatasetSpec};
+use hs_data::Dataset;
+pub use hs_data::DatasetKind as DataChoice;
+pub use hs_nn::models::ModelKind;
 use hs_nn::{models, Network, NnError};
 use hs_pruning::{Apoz, AutoPruner, L1Norm, PruningCriterion, Random, ThiNet};
+use hs_telemetry::flags::Flags;
 use hs_telemetry::Level;
 use hs_tensor::Rng;
 
 use crate::budget::Budget;
 use crate::error::RunnerError;
-
-/// Which synthetic dataset a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataChoice {
-    /// CIFAR-100 substitute (small images, many classes).
-    CifarLike,
-    /// CUB-200 substitute (fine-grained, larger images).
-    CubLike,
-}
-
-impl DataChoice {
-    /// The dataset specification for this choice.
-    pub fn spec(&self) -> DatasetSpec {
-        match self {
-            DataChoice::CifarLike => DatasetSpec::cifar_like(),
-            DataChoice::CubLike => DatasetSpec::cub_like(),
-        }
-    }
-
-    /// CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DataChoice::CifarLike => "cifar",
-            DataChoice::CubLike => "cub",
-        }
-    }
-
-    /// Parses a CLI name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunnerError::BadConfig`] for unknown names.
-    pub fn parse(s: &str) -> Result<Self, RunnerError> {
-        match s {
-            "cifar" => Ok(DataChoice::CifarLike),
-            "cub" => Ok(DataChoice::CubLike),
-            other => Err(RunnerError::BadConfig(format!(
-                "unknown dataset `{other}` (use cifar or cub)"
-            ))),
-        }
-    }
-}
-
-/// Which architecture a run instantiates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ModelKind {
-    /// VGG-11 with batch norm.
-    Vgg11,
-    /// VGG-16 with batch norm.
-    Vgg16,
-    /// CIFAR-style ResNet with `n` blocks per group (depth `6n + 2`).
-    ResNetCifar {
-        /// Blocks per group.
-        n: usize,
-    },
-    /// LeNet-style small conv net.
-    LeNet,
-    /// AlexNet-style conv net.
-    AlexNet,
-}
 
 /// An architecture plus its width multiplier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,13 +34,7 @@ impl ModelChoice {
 
     /// CLI name of the architecture.
     pub fn name(&self) -> String {
-        match self.kind {
-            ModelKind::Vgg11 => "vgg11".to_string(),
-            ModelKind::Vgg16 => "vgg16".to_string(),
-            ModelKind::ResNetCifar { n } => format!("resnet{}", models::resnet_depth(n)),
-            ModelKind::LeNet => "lenet".to_string(),
-            ModelKind::AlexNet => "alexnet".to_string(),
-        }
+        self.kind.name()
     }
 
     /// Parses a CLI name into a kind (width is a separate flag).
@@ -106,19 +43,7 @@ impl ModelChoice {
     ///
     /// Returns [`RunnerError::BadConfig`] for unknown names.
     pub fn parse(name: &str, width: f32) -> Result<Self, RunnerError> {
-        let kind = match name {
-            "vgg11" => ModelKind::Vgg11,
-            "vgg16" => ModelKind::Vgg16,
-            "resnet20" => ModelKind::ResNetCifar { n: 3 },
-            "resnet38" => ModelKind::ResNetCifar { n: 6 },
-            "lenet" => ModelKind::LeNet,
-            "alexnet" => ModelKind::AlexNet,
-            other => {
-                return Err(RunnerError::BadConfig(format!(
-                    "unknown model `{other}` (use vgg11|vgg16|resnet20|resnet38|lenet|alexnet)"
-                )))
-            }
-        };
+        let kind = ModelKind::parse(name).map_err(RunnerError::BadConfig)?;
         Ok(ModelChoice { kind, width })
     }
 
@@ -263,14 +188,17 @@ impl Method {
         }
     }
 
-    /// The target speedup, for RL methods (baselines report the default
-    /// `2.0`, which [`Method::parse`] ignores for them).
+    /// The target speedup: `sp` for RL methods, `1 / keep_ratio` for
+    /// baselines (the rule [`Prepared::single_layer_baseline`] inverts;
+    /// [`Method::parse`] ignores `sp` for them).
+    ///
+    /// [`Prepared::single_layer_baseline`]: crate::Prepared::single_layer_baseline
     pub fn sp(&self) -> f32 {
         match self {
             Method::HeadStartLayers { sp }
             | Method::HeadStartBlocks { sp }
             | Method::HeadStartInner { sp } => *sp,
-            Method::Baseline { .. } => 2.0,
+            Method::Baseline { keep_ratio, .. } => 1.0 / keep_ratio,
         }
     }
 
@@ -303,7 +231,8 @@ impl Method {
     ///
     /// # Errors
     ///
-    /// Returns [`RunnerError::BadConfig`] for unknown names.
+    /// Returns [`RunnerError::BadConfig`] for unknown names, and for a
+    /// baseline keep ratio outside `(0, 1]`.
     pub fn parse(name: &str, sp: f32, keep_ratio: f32) -> Result<Self, RunnerError> {
         match name {
             "headstart" => Ok(Method::HeadStartLayers { sp }),
@@ -311,9 +240,20 @@ impl Method {
             "headstart-inner" => Ok(Method::HeadStartInner { sp }),
             other => Ok(Method::Baseline {
                 kind: BaselineKind::parse(other)?,
-                keep_ratio,
+                keep_ratio: check_keep_ratio(keep_ratio)?,
             }),
         }
+    }
+}
+
+/// `keep_ratio` if it lies in `(0, 1]`, the range a baseline can keep.
+pub(crate) fn check_keep_ratio(keep_ratio: f32) -> Result<f32, RunnerError> {
+    if keep_ratio > 0.0 && keep_ratio <= 1.0 {
+        Ok(keep_ratio)
+    } else {
+        Err(RunnerError::BadConfig(format!(
+            "keep ratio {keep_ratio} outside (0, 1]"
+        )))
     }
 }
 
@@ -389,89 +329,60 @@ impl RunnerConfig {
         }
     }
 
-    /// Parses a config from `--flag value` style arguments (the `hs_run`
-    /// CLI). Unknown flags error; every flag has a default.
+    /// Parses a config from `hs_run`'s command line
+    /// ([`hs_telemetry::flags`]). Every flag has a default. The `--quick`
+    /// and `--smoke` presets apply before the per-field budget flags,
+    /// wherever they appear.
     ///
     /// # Errors
     ///
     /// Returns [`RunnerError::BadConfig`] for malformed arguments.
     pub fn from_args(args: &[String]) -> Result<Self, RunnerError> {
         let mut cfg = RunnerConfig::new("hs_run");
-        let mut model_name = "vgg11".to_string();
-        let mut method_name = "headstart".to_string();
-        let mut width = 0.25f32;
-        let mut sp = 2.0f32;
-        let mut keep_ratio = 0.5f32;
-        let mut prune_seed: Option<u64> = None;
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if arg == "--quick" {
-                cfg.budget = Budget::quick();
-                i += 1;
-                continue;
-            }
-            if arg == "--smoke" {
-                cfg.budget = Budget::smoke();
-                i += 1;
-                continue;
-            }
-            if arg == "--compact" {
-                cfg.compact = true;
-                i += 1;
-                continue;
-            }
-            let key = arg
-                .strip_prefix("--")
-                .ok_or_else(|| RunnerError::BadConfig(format!("expected --flag, got `{arg}`")))?;
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| RunnerError::BadConfig(format!("--{key} needs a value")))?;
-            let bad = |what: &str| RunnerError::BadConfig(format!("--{key}: bad {what} `{value}`"));
-            match key {
-                "label" => cfg.label = value.clone(),
-                "data" => cfg.data = DataChoice::parse(value)?,
-                "model" => model_name = value.clone(),
-                "width" => width = value.parse().map_err(|_| bad("float"))?,
-                "method" => method_name = value.clone(),
-                "sp" => sp = value.parse().map_err(|_| bad("float"))?,
-                "keep" => keep_ratio = value.parse().map_err(|_| bad("float"))?,
-                "seed" => cfg.seed = value.parse().map_err(|_| bad("integer"))?,
-                "prune-seed" => prune_seed = Some(value.parse().map_err(|_| bad("integer"))?),
-                "pretrain" => {
-                    cfg.budget.pretrain_epochs = value.parse().map_err(|_| bad("integer"))?
-                }
-                "finetune" => {
-                    cfg.budget.finetune_epochs = value.parse().map_err(|_| bad("integer"))?
-                }
-                "episodes" => cfg.budget.rl_episodes = value.parse().map_err(|_| bad("integer"))?,
-                "eval-images" => {
-                    cfg.budget.rl_eval_images = value.parse().map_err(|_| bad("integer"))?
-                }
-                "workers" => {
-                    cfg.workers = value.parse().map_err(|_| bad("integer"))?;
-                    if cfg.workers == 0 {
-                        return Err(RunnerError::BadConfig(
-                            "--workers: must be at least 1".to_string(),
-                        ));
-                    }
-                }
-                "checkpoint" => cfg.checkpoint = Some(PathBuf::from(value)),
-                "run-dir" => cfg.run_dir = Some(PathBuf::from(value)),
-                "artifact" => cfg.artifact = Some(PathBuf::from(value)),
-                "telemetry" => cfg.telemetry = Some(PathBuf::from(value)),
-                "metrics" => cfg.metrics = Some(PathBuf::from(value)),
-                "log-level" => {
-                    cfg.log_level = Some(Level::parse(value).ok_or_else(|| bad("level"))?)
-                }
-                other => return Err(RunnerError::BadConfig(format!("unknown flag `--{other}`"))),
-            }
-            i += 2;
-        }
-        cfg.model = ModelChoice::parse(&model_name, width)?;
-        cfg.method = Method::parse(&method_name, sp, keep_ratio)?;
-        cfg.prune_seed = prune_seed.unwrap_or(cfg.seed);
+        let (method, sp, keep_ratio) = cfg
+            .read_flags(Flags::new(args.iter().cloned()))
+            .map_err(RunnerError::BadConfig)?;
+        cfg.method = Method::parse(&method, sp, keep_ratio)?;
         Ok(cfg)
+    }
+
+    /// Applies `hs_run`'s flags; returns the method name with the `sp`
+    /// and keep ratio [`Method::parse`] takes.
+    fn read_flags(&mut self, mut f: Flags) -> Result<(String, f32, f32), String> {
+        match (f.switch("--quick")?, f.switch("--smoke")?) {
+            (true, true) => return Err("--quick and --smoke exclude each other".to_string()),
+            (true, false) => self.budget = Budget::quick(),
+            (false, true) => self.budget = Budget::smoke(),
+            (false, false) => {}
+        }
+        let budget = &mut self.budget;
+        f.set("--pretrain", "integer", &mut budget.pretrain_epochs)?;
+        f.set("--finetune", "integer", &mut budget.finetune_epochs)?;
+        f.set("--episodes", "integer", &mut budget.rl_episodes)?;
+        f.set("--eval-images", "integer", &mut budget.rl_eval_images)?;
+        self.compact = f.switch("--compact")?;
+        f.set("--label", "a label", &mut self.label)?;
+        if let Some(data) = f.value("--data")? {
+            self.data = DataChoice::parse(&data)?;
+        }
+        let kind = ModelKind::parse(&f.value("--model")?.unwrap_or("vgg11".into()))?;
+        self.model = ModelChoice::new(kind, f.parse("--width", "a float")?.unwrap_or(0.25));
+        let method = f.value("--method")?.unwrap_or("headstart".into());
+        let sp = f.parse("--sp", "a float")?.unwrap_or(2.0);
+        let keep_ratio = f.parse("--keep", "a float")?.unwrap_or(0.5);
+        f.set("--seed", "integer", &mut self.seed)?;
+        self.prune_seed = f.parse("--prune-seed", "integer")?.unwrap_or(self.seed);
+        if let Some(workers) = f.count("--workers")? {
+            self.workers = workers as usize;
+        }
+        self.checkpoint = f.value("--checkpoint")?.map(PathBuf::from);
+        self.run_dir = f.value("--run-dir")?.map(PathBuf::from);
+        self.artifact = f.value("--artifact")?.map(PathBuf::from);
+        self.telemetry = f.value("--telemetry")?.map(PathBuf::from);
+        self.metrics = f.value("--metrics")?.map(PathBuf::from);
+        self.log_level = f.parse_with("--log-level", "a log level", Level::parse)?;
+        f.done()?;
+        Ok((method, sp, keep_ratio))
     }
 }
 
@@ -502,6 +413,49 @@ mod tests {
             cfg.artifact.as_deref(),
             Some(std::path::Path::new("out.json"))
         );
+    }
+
+    #[test]
+    fn presets_apply_before_budget_flags_wherever_they_appear() {
+        for line in ["--quick --episodes 9", "--episodes 9 --quick"] {
+            let cfg = RunnerConfig::from_args(&argv(line)).unwrap();
+            assert_eq!(cfg.budget.rl_episodes, 9, "{line}");
+            assert_eq!(cfg.budget.pretrain_epochs, Budget::quick().pretrain_epochs);
+        }
+        let cfg = RunnerConfig::from_args(&argv("--finetune 0 --smoke")).unwrap();
+        assert_eq!(cfg.budget.finetune_epochs, 0);
+        assert_eq!(cfg.budget.rl_episodes, Budget::smoke().rl_episodes);
+        assert!(RunnerConfig::from_args(&argv("--quick --smoke")).is_err());
+    }
+
+    #[test]
+    fn errors_use_the_shared_flag_wording() {
+        let err = |line: &str| {
+            RunnerConfig::from_args(&argv(line))
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(err("--seed abc").ends_with("--seed: expected integer, got `abc`"));
+        assert!(err("--sp fast").ends_with("--sp: expected a float, got `fast`"));
+        assert!(err("--seed 1 --seed 2").ends_with("--seed given twice"));
+        assert!(err("--bogus 1").ends_with("unknown flag `--bogus`"));
+        assert!(err("--workers 0").ends_with("--workers: must be at least 1"));
+    }
+
+    #[test]
+    fn baseline_sp_is_the_inverse_keep_ratio() {
+        let l1 = |keep_ratio| Method::Baseline {
+            kind: BaselineKind::L1,
+            keep_ratio,
+        };
+        assert_eq!(l1(0.5).sp(), 2.0);
+        assert_eq!(l1(0.2).sp(), 5.0);
+        assert_eq!(l1(0.25).sp(), 4.0);
+        // A keep ratio with no finite speedup fails before any run starts.
+        for keep in ["0", "1.5", "NaN"] {
+            let line = format!("--method l1 --keep {keep}");
+            assert!(RunnerConfig::from_args(&argv(&line)).is_err(), "{line}");
+        }
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl Journal {
             .ok_or("missing `config` object")?;
 
         let mut cfg = RunnerConfig::new(cfg_obj.str("label")?);
-        cfg.data = DataChoice::parse(cfg_obj.str("data")?).map_err(|e| e.to_string())?;
+        cfg.data = DataChoice::parse(cfg_obj.str("data")?)?;
         cfg.model = ModelChoice::parse(cfg_obj.str("model")?, cfg_obj.num("width")? as f32)
             .map_err(|e| e.to_string())?;
         cfg.method = Method::parse(

@@ -13,7 +13,7 @@ use hs_pruning::driver::LayerTrace;
 use hs_pruning::{PruningCriterion, ScoreContext};
 use hs_tensor::{Rng, Tensor};
 
-use crate::config::{BaselineKind, Method};
+use crate::config::{check_keep_ratio, BaselineKind, Method};
 use crate::error::RunnerError;
 use crate::pipeline::Prepared;
 
@@ -77,11 +77,7 @@ impl LayerStep {
         keep_ratio: f32,
         ds: &Dataset,
     ) -> Result<Self, RunnerError> {
-        if !(0.0..=1.0).contains(&keep_ratio) || keep_ratio == 0.0 {
-            return Err(RunnerError::BadConfig(format!(
-                "keep ratio {keep_ratio} outside (0, 1]"
-            )));
-        }
+        let keep_ratio = check_keep_ratio(keep_ratio)?;
         let scoring_n = SCORING_IMAGES.min(ds.train_labels.len());
         let idx: Vec<usize> = (0..scoring_n).collect();
         Ok(LayerStep::Baseline {

@@ -31,7 +31,6 @@ pub mod error;
 pub mod faults;
 pub mod journal;
 mod layers;
-pub mod manifest;
 pub mod pipeline;
 pub mod report;
 pub mod resume;
@@ -41,7 +40,6 @@ pub use config::{BaselineKind, DataChoice, Method, ModelChoice, ModelKind, Runne
 pub use error::RunnerError;
 pub use faults::crash_point;
 pub use journal::{Journal, Stage, UnitRecord, JOURNAL_FILE};
-pub use manifest::{ServeManifest, MANIFEST_FILE};
 pub use pipeline::{
     prepare, pretrain, run, CompactSummary, MethodRun, PipelineReport, Prepared, SingleLayerRun,
 };

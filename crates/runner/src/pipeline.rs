@@ -103,7 +103,16 @@ pub fn prepare(cfg: &RunnerConfig) -> Result<Prepared, RunnerError> {
                 path.display()
             ));
             match checkpoint::load(path) {
-                Ok(loaded) => {
+                Ok(mut loaded) => {
+                    if layout(&mut loaded) != layout(&mut net) {
+                        phase.end();
+                        return Err(RunnerError::BadConfig(format!(
+                            "checkpoint {} does not hold a {} at width {}",
+                            path.display(),
+                            cfg.model.name(),
+                            cfg.model.width
+                        )));
+                    }
                     net = loaded;
                     phase.record(&mut stages);
                     true
@@ -161,6 +170,15 @@ pub fn prepare(cfg: &RunnerConfig) -> Result<Prepared, RunnerError> {
         budget: cfg.budget,
         stages,
     })
+}
+
+/// Node kinds and parameter shapes: what a `--checkpoint` must share
+/// with the net `--model` builds.
+fn layout(net: &mut Network) -> (Vec<&'static str>, Vec<Vec<usize>>) {
+    let kinds = net.iter().map(|node| node.kind()).collect();
+    let mut shapes = Vec::new();
+    net.visit_params(&mut |p| shapes.push(p.value.shape().dims().to_vec()));
+    (kinds, shapes)
 }
 
 /// Outcome of running one pruning method on a [`Prepared`] model.

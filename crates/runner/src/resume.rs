@@ -32,6 +32,7 @@ use hs_coord::executor_for;
 use hs_nn::accounting::{analyze, NetworkCost};
 use hs_nn::{checkpoint, Network};
 use hs_pruning::driver::LayerTrace;
+use hs_serve::ServeManifest;
 use hs_telemetry::io::write_json;
 use hs_telemetry::{Event, EventKind, Level, TelemetryConfig};
 use hs_tensor::Rng;
@@ -41,7 +42,6 @@ use crate::error::RunnerError;
 use crate::faults::crash_point;
 use crate::journal::{Journal, Stage, UnitRecord};
 use crate::layers::{prune_layers, LayerStep};
-use crate::manifest::ServeManifest;
 use crate::pipeline::{prepare, CompactSummary, PipelineReport, Prepared};
 use crate::report::{Phase, StageTiming};
 
@@ -240,7 +240,8 @@ fn serve_manifest(
     ServeManifest {
         label: cfg.label.clone(),
         data: cfg.data,
-        model: cfg.model,
+        model: cfg.model.kind,
+        width: cfg.model.width,
         sp: cfg.method.sp(),
         dense,
         pruned: FINAL_CHECKPOINT.to_string(),

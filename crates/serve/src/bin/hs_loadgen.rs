@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hs_serve::LoadSpec;
+use hs_telemetry::flags::Flags;
 
 fn usage() {
     eprintln!(
@@ -30,59 +31,46 @@ fn usage() {
     );
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let mut mode = "open".to_string();
-    let mut out: Option<PathBuf> = None;
+fn run(args: Vec<String>) -> Result<(), String> {
+    const INT: &str = "integer";
+    let mut f = Flags::new(args);
+    let closed = f
+        .parse_with("--mode", "`open` or `closed`", |v| match v {
+            "open" => Some(false),
+            "closed" => Some(true),
+            _ => None,
+        })?
+        .unwrap_or(false);
+    let out = f.value("--out")?.map(PathBuf::from);
     let mut spec = LoadSpec::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = &args[i];
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?;
-        let bad = |what: &str| format!("{flag}: expected {what}, got `{value}`");
-        match flag.as_str() {
-            "--mode" => {
-                if value != "open" && value != "closed" {
-                    return Err(bad("`open` or `closed`"));
-                }
-                mode = value.clone();
-            }
-            "--out" => out = Some(PathBuf::from(value)),
-            "--requests" => spec.requests = value.parse().map_err(|_| bad("integer"))?,
-            "--gap-us" => spec.gap = value.parse().map_err(|_| bad("integer"))?,
-            "--deadline-us" => spec.deadline = value.parse().map_err(|_| bad("integer"))?,
-            "--seed" => spec.seed = value.parse().map_err(|_| bad("integer"))?,
-            "--concurrency" => spec.concurrency = value.parse().map_err(|_| bad("integer"))?,
-            "--think-us" => spec.think = value.parse().map_err(|_| bad("integer"))?,
-            "--classes" => spec.classes = value.parse().map_err(|_| bad("integer"))?,
-            "--tenants" => spec.tenants = value.parse().map_err(|_| bad("integer"))?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-        i += 2;
-    }
+    f.set("--requests", INT, &mut spec.requests)?;
+    f.set("--gap-us", INT, &mut spec.gap)?;
+    f.set("--deadline-us", INT, &mut spec.deadline)?;
+    f.set("--seed", INT, &mut spec.seed)?;
+    f.set("--concurrency", INT, &mut spec.concurrency)?;
+    f.set("--think-us", INT, &mut spec.think)?;
+    f.set("--classes", INT, &mut spec.classes)?;
+    f.set("--tenants", INT, &mut spec.tenants)?;
+    f.done()?;
     let out = out.ok_or("--out is required")?;
-    match mode.as_str() {
-        "open" => {
-            let profile = spec.open_profile();
-            profile.save(&out).map_err(|e| e.to_string())?;
-            println!(
-                "wrote open-loop plan: {} arrivals over {} us -> {}",
-                profile.entries.len(),
-                profile.entries.last().map(|e| e.at).unwrap_or(0),
-                out.display()
-            );
-        }
-        _ => {
-            spec.save(&out).map_err(|e| e.to_string())?;
-            println!(
-                "wrote closed-loop plan: {} requests from {} clients (think {} us) -> {}",
-                spec.requests,
-                spec.concurrency,
-                spec.think,
-                out.display()
-            );
-        }
+    if closed {
+        spec.save(&out).map_err(|e| e.to_string())?;
+        println!(
+            "wrote closed-loop plan: {} requests from {} clients (think {} us) -> {}",
+            spec.requests,
+            spec.concurrency,
+            spec.think,
+            out.display()
+        );
+    } else {
+        let profile = spec.open_profile();
+        profile.save(&out).map_err(|e| e.to_string())?;
+        println!(
+            "wrote open-loop plan: {} arrivals over {} us -> {}",
+            profile.entries.len(),
+            profile.entries.last().map(|e| e.at).unwrap_or(0),
+            out.display()
+        );
     }
     Ok(())
 }
@@ -93,7 +81,7 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("hs_loadgen: {e}");

@@ -734,6 +734,7 @@ mod tests {
 
     #[test]
     fn full_batch_flushes_at_arrival_partial_batch_lingers() {
+        let _guard = crate::fault_test_lock();
         let cfg = ServeConfig {
             queue_capacity: 8,
             batch_max: 2,
@@ -790,6 +791,7 @@ mod tests {
 
     #[test]
     fn predictions_match_direct_inference() {
+        let _guard = crate::fault_test_lock();
         let cfg = ServeConfig {
             batch_max: 4,
             linger: 10,

@@ -31,7 +31,11 @@
 //! [`engine`] (batcher + degradation state machine), [`breaker`]
 //! (circuit breaker), [`model`] (checkpoint slots with retry/backoff
 //! loading), [`request`] (typed requests/rejections), [`loadgen`]
-//! (deterministic open/closed-loop load generation).
+//! (deterministic open/closed-loop load generation), [`manifest`] (the
+//! dense/pruned pair a journaled `hs_run` leaves behind).
+//!
+//! The crate does not link the pruning pipeline: `hs_run` writes the
+//! [`ServeManifest`], and serving only reads it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,13 +44,15 @@ pub mod breaker;
 pub mod engine;
 pub mod error;
 pub mod loadgen;
+pub mod manifest;
 pub mod model;
 pub mod queue;
 pub mod request;
 pub mod slo;
 
 /// Serializes tests (across this crate) that arm the process-global
-/// fault registry, so parallel test threads never see each other's plan.
+/// fault registry or run inference, so parallel test threads never see
+/// (or spend the hits of) each other's plan.
 #[cfg(test)]
 pub(crate) fn fault_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -57,6 +63,7 @@ pub use breaker::{BreakerState, CircuitBreaker};
 pub use engine::{ServeConfig, ServeEngine, ServeSummary};
 pub use error::ServeError;
 pub use loadgen::{drive_closed, drive_open, LoadProfile, LoadSpec, Plan, PlanError, ProfileEntry};
+pub use manifest::{ServeManifest, MANIFEST_FILE};
 pub use model::{load_with_retry, ModelSlots, RetryPolicy, SlotKind};
 pub use queue::AdmissionQueue;
 pub use request::{Micros, Outcome, RejectReason, Rejection, Request, Response};

@@ -12,7 +12,7 @@
 //! and `hs_serve` can replay it byte-for-byte; both sides use the
 //! workspace's own JSON reader/writer — no external crates.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use hs_telemetry::io::write_json;
@@ -481,6 +481,11 @@ pub fn drive_open(
 /// wait for their previous request's outcome plus `spec.think` before
 /// issuing the next, until `spec.requests` have been issued in total.
 ///
+/// Client `c` first issues at `c · think / concurrency`, so starts rise
+/// with the index: clients start lazily, one counter names the next
+/// one, and only started clients take memory. At equal times the lower
+/// client index issues first.
+///
 /// # Errors
 ///
 /// Propagates engine errors (see [`ServeEngine::tick`]).
@@ -488,9 +493,11 @@ pub fn drive_closed(engine: &mut ServeEngine, spec: &LoadSpec) -> Result<Vec<Out
     let concurrency = spec.concurrency.max(1);
     let mut rng = Rng::seed_from(spec.seed);
     // Stagger client starts so they don't arrive as one burst.
-    let mut next_issue: Vec<Option<Micros>> = (0..concurrency)
-        .map(|c| Some(c as Micros * spec.think.max(1) / concurrency as Micros))
-        .collect();
+    let start =
+        |c: usize| (c as u128 * u128::from(spec.think.max(1)) / concurrency as u128) as Micros;
+    let mut unstarted = 0;
+    // Started clients waiting to issue, by (issue time, client).
+    let mut idle: BTreeSet<(Micros, usize)> = BTreeSet::new();
     let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
     let mut outcomes = Vec::new();
     let mut issued: u64 = 0;
@@ -498,30 +505,31 @@ pub fn drive_closed(engine: &mut ServeEngine, spec: &LoadSpec) -> Result<Vec<Out
 
     loop {
         let client = if issued < spec.requests {
-            next_issue
-                .iter()
-                .enumerate()
-                .filter_map(|(c, t)| t.map(|t| (t, c)))
-                .min()
+            let fresh = (unstarted < concurrency).then(|| (start(unstarted), unstarted));
+            idle.first().copied().into_iter().chain(fresh).min()
         } else {
             None
         };
         let engine_next = engine.next_event();
         let (t, issue_from) = match (client, engine_next) {
-            (Some((ct, c)), Some(et)) if ct <= et => (ct, Some(c)),
+            (Some((ct, c)), Some(et)) if ct <= et => (ct, Some((ct, c))),
             (Some(_), Some(et)) => (et, None),
-            (Some((ct, c)), None) => (ct, Some(c)),
+            (Some((ct, c)), None) => (ct, Some((ct, c))),
             (None, Some(et)) => (et, None),
             (None, None) => break,
         };
         now = now.max(t);
         let produced = engine.tick(now)?;
-        settle(&produced, &mut pending, &mut next_issue, spec.think);
+        settle(&produced, &mut pending, &mut idle, spec.think);
         outcomes.extend(produced);
-        if let Some(c) = issue_from {
+        if let Some((ct, c)) = issue_from {
+            if c == unstarted {
+                unstarted += 1;
+            } else {
+                idle.remove(&(ct, c));
+            }
             let id = issued;
             issued += 1;
-            next_issue[c] = None;
             let req = Request {
                 id,
                 sample: (rng.next_u64() % 4096) as usize,
@@ -534,7 +542,7 @@ pub fn drive_closed(engine: &mut ServeEngine, spec: &LoadSpec) -> Result<Vec<Out
                 Some(rej) => {
                     // Shed at admission: the client backs off a full
                     // think time and tries again with a new request.
-                    next_issue[c] = Some(now + spec.think);
+                    idle.insert((now + spec.think, c));
                     outcomes.push(Outcome::Rejected(rej));
                 }
                 None => {
@@ -544,7 +552,7 @@ pub fn drive_closed(engine: &mut ServeEngine, spec: &LoadSpec) -> Result<Vec<Out
         }
     }
     let produced = engine.drain()?;
-    settle(&produced, &mut pending, &mut next_issue, spec.think);
+    settle(&produced, &mut pending, &mut idle, spec.think);
     outcomes.extend(produced);
     Ok(outcomes)
 }
@@ -553,7 +561,7 @@ pub fn drive_closed(engine: &mut ServeEngine, spec: &LoadSpec) -> Result<Vec<Out
 fn settle(
     produced: &[Outcome],
     pending: &mut BTreeMap<u64, usize>,
-    next_issue: &mut [Option<Micros>],
+    idle: &mut BTreeSet<(Micros, usize)>,
     think: Micros,
 ) {
     for o in produced {
@@ -562,7 +570,7 @@ fn settle(
                 Outcome::Completed(r) => r.completed,
                 Outcome::Rejected(r) => r.at,
             };
-            next_issue[c] = Some(finished + think);
+            idle.insert((finished + think, c));
         }
     }
 }
@@ -723,6 +731,7 @@ mod tests {
 
     #[test]
     fn open_loop_accounts_for_every_request() {
+        let _guard = crate::fault_test_lock();
         let spec = LoadSpec {
             requests: 20,
             gap: 500,
@@ -740,6 +749,7 @@ mod tests {
 
     #[test]
     fn closed_loop_issues_exactly_the_requested_count() {
+        let _guard = crate::fault_test_lock();
         let spec = LoadSpec {
             requests: 15,
             concurrency: 3,

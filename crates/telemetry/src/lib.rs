@@ -20,6 +20,8 @@
 //!   (tmp + fsync + rename) with bounded retry on transient errors.
 //! - **Fault injection** ([`faults`]): a deterministic, disarmed-by-default
 //!   registry tests use to make IO and training failures reproducible.
+//! - **Flags** ([`flags`]): the command-line parser every workspace
+//!   binary shares, so flags behave and fail the same way everywhere.
 //!
 //! Events that no sink would accept are dropped before formatting, so an
 //! unconfigured process pays one relaxed atomic load per call site.
@@ -43,6 +45,7 @@
 
 pub mod event;
 pub mod faults;
+pub mod flags;
 pub mod flight;
 pub mod io;
 pub mod level;

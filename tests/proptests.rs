@@ -463,13 +463,26 @@ fn json_round_trips_through_both_renderings() {
     }
 }
 
+/// `text` with one byte flipped, a truncation, or one JSON-significant
+/// byte inserted.
+fn mutate(text: &str, rng: &mut Rng) -> String {
+    const SIGNIFICANT: &[u8] = b"{}[]\",:\\-.0123456789eEtfnu \n";
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.below(bytes.len() + 1);
+    match rng.below(3) {
+        0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+        1 => bytes.truncate(at),
+        _ => bytes.insert(at, SIGNIFICANT[rng.below(SIGNIFICANT.len())]),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 /// Flipped, truncated and inserted bytes make the parser and the
 /// JSONL validator return an error or a value — never panic.
 #[test]
 fn mutated_json_never_panics_the_parser() {
     use headstart::telemetry::schema::{parse, validate_line};
     use headstart::telemetry::{Event, EventKind, Level};
-    const SIGNIFICANT: &[u8] = b"{}[]\",:\\-.0123456789eEtfnu \n";
     for seed in 0..CASES {
         let mut rng = Rng::seed_from(seed);
         let value = random_json(&mut rng, 4);
@@ -479,16 +492,56 @@ fn mutated_json_never_panics_the_parser() {
             .to_json_line();
         for text in [value.render(), value.render_compact(), line] {
             for _ in 0..32 {
-                let mut bytes = text.clone().into_bytes();
-                let at = rng.below(bytes.len() + 1);
-                match rng.below(3) {
-                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
-                    1 => bytes.truncate(at),
-                    _ => bytes.insert(at, SIGNIFICANT[rng.below(SIGNIFICANT.len())]),
-                }
-                let mutated = String::from_utf8_lossy(&bytes);
+                let mutated = mutate(&text, &mut rng);
                 let _ = parse(&mutated);
                 let _ = validate_line(&mutated);
+            }
+        }
+    }
+}
+
+/// Mutated serve manifests and load plans, read the way `hs_serve`
+/// reads them, load or fail with a typed error — never panic.
+#[test]
+fn mutated_manifests_and_plans_never_panic() {
+    use headstart::data::DatasetKind;
+    use headstart::nn::models::ModelKind;
+    use headstart::serve::{LoadSpec, Plan, ServeManifest};
+    let manifest = ServeManifest {
+        label: "fuzz".into(),
+        data: DatasetKind::CubLike,
+        model: ModelKind::ResNetCifar { n: 3 },
+        width: 0.25,
+        sp: 2.0,
+        dense: "pretrained.hsck".into(),
+        pruned: "final.hsck".into(),
+        dense_accuracy: 0.5,
+        pruned_accuracy: 0.25,
+        dense_params: 1 << 40,
+        pruned_params: 1234,
+        dense_flops: 8_000_000,
+        pruned_flops: 2_000_000,
+        pruned_compact: Some("compact.hsck".into()),
+    };
+    let spec = LoadSpec {
+        requests: 4,
+        classes: 2,
+        tenants: 2,
+        ..LoadSpec::default()
+    };
+    let texts = [
+        manifest.to_json().render(),
+        spec.open_profile().to_json().render(),
+        spec.to_json().render(),
+    ];
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("mutated-serve-input.json");
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(seed);
+        for text in &texts {
+            for _ in 0..8 {
+                std::fs::write(&path, mutate(text, &mut rng)).expect("write mutant");
+                let _ = ServeManifest::load(&path);
+                let _ = Plan::load(&path);
             }
         }
     }

@@ -8,10 +8,13 @@ use std::sync::Arc;
 use headstart::coord::Coordinator;
 use headstart::data::{Dataset, DatasetSpec};
 use headstart::nn::accounting::analyze;
+use headstart::nn::checkpoint;
 use headstart::nn::models;
 use headstart::runner::{
-    prepare, run, BaselineKind, Budget, Method, Prepared, RunnerConfig, RunnerError,
+    prepare, run, BaselineKind, Budget, Method, ModelChoice, ModelKind, Prepared, RunnerConfig,
+    RunnerError,
 };
+use headstart::serve::ServeManifest;
 use headstart::tensor::Rng;
 
 fn tmp(name: &str) -> PathBuf {
@@ -156,6 +159,40 @@ fn baselines_run_through_the_same_pipeline() {
     assert_eq!(run.label, "Li'17");
     assert!(run.cost.total_params < prepared.original_cost.total_params);
     assert!(!run.traces.is_empty());
+}
+
+#[test]
+fn a_checkpoint_of_another_model_is_a_typed_error() {
+    let path = tmp("lenet_for_vgg.hsck");
+    let lenet = models::lenet(3, 16, 16, 0.25, &mut Rng::seed_from(1)).expect("model");
+    checkpoint::save(&lenet, &path).expect("save");
+    let mut cfg = smoke_config("mismatch");
+    cfg.checkpoint = Some(path.clone());
+    match prepare(&cfg) {
+        Err(RunnerError::BadConfig(detail)) => {
+            assert!(detail.contains(&path.display().to_string()), "{detail}");
+            assert!(detail.contains("vgg11"), "{detail}");
+        }
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn baseline_runs_record_the_speedup_their_keep_ratio_targets() {
+    let dir = tmp("baseline_sp_run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = smoke_config("baseline-sp");
+    cfg.model = ModelChoice::new(ModelKind::LeNet, 1.0);
+    cfg.method = Method::Baseline {
+        kind: BaselineKind::L1,
+        keep_ratio: 0.2,
+    };
+    cfg.run_dir = Some(dir.clone());
+    cfg.compact = true;
+    let report = run(&cfg).expect("journaled baseline run");
+    let compact = report.compact.expect("compact stage ran");
+    assert_eq!(compact.target_speedup, 5.0);
+    assert_eq!(ServeManifest::load(&dir).expect("manifest").sp, 5.0);
 }
 
 #[test]
