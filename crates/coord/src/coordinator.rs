@@ -375,11 +375,19 @@ impl EvalExecutor for Coordinator {
                 }
             };
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-            // SAFETY: every borrow the job captures (`par`, the worker's
-            // scratch network, `actions`, the result/abandon slots and
-            // the completion latch) outlives the job, because this
-            // function blocks on `pending == 0` below before any of them
-            // go out of scope. Same erasure as hs_tensor::pool.
+            // SAFETY: the job borrows `par`, the worker's scratch network,
+            // `actions`, the result/abandon slots and the completion
+            // latch. Erasing its lifetime is sound because this function
+            // never returns or unwinds while a job of its batch is queued
+            // or running: each job catches its shard's panic before it
+            // counts itself done; every lock here recovers from poison
+            // instead of panicking; nothing between the first send and the
+            // wait below can panic (the plan has one shard per live
+            // worker, and a scratch network is installed just above); and
+            // the wait on `pending == 0` comes before the batch's panic is
+            // re-raised. Same erasure as hs_tensor::pool; pinned by
+            // `a_panicking_shard_waits_for_its_running_siblings` and
+            // `nested_pool_batches_finish_before_the_batch_returns`.
             let job: Job = unsafe { std::mem::transmute(job) };
             channel.send(Cmd::Run(job));
         }

@@ -51,6 +51,11 @@ mod tests {
     use hs_core::{HeadStartError, ParallelReward, PruningUnit};
     use hs_nn::{models, Network};
     use hs_tensor::Rng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::thread;
+    use std::time::Duration;
 
     /// A pure, thread-safe toy unit: reward is a deterministic function
     /// of the action bits alone.
@@ -114,6 +119,71 @@ mod tests {
         ) -> Result<f32, HeadStartError> {
             self.calls += 1;
             Ok(action.iter().filter(|&&b| b).count() as f32)
+        }
+    }
+
+    /// A thread-safe unit for the soundness tests. An action that keeps
+    /// unit 0 opens `gate` and panics. Any other waits for the gate, naps,
+    /// fills locals through a pool batch of its own, then counts itself in
+    /// `done`: a write through the job's borrow of the unit. The wait
+    /// gives up after a few seconds, so a broken coordinator fails an
+    /// assertion instead of hanging.
+    #[derive(Default)]
+    struct SlowOrPanicking {
+        gate: (Mutex<bool>, Condvar),
+        done: AtomicUsize,
+    }
+
+    impl SlowOrPanicking {
+        fn open(&self) {
+            *self.gate.0.lock().expect("gate lock") = true;
+            self.gate.1.notify_all();
+        }
+    }
+
+    impl PruningUnit for SlowOrPanicking {
+        fn kind(&self) -> &'static str {
+            "slow-or-panicking"
+        }
+        fn unit_count(&self) -> usize {
+            8
+        }
+        fn action_reward(
+            &mut self,
+            net: &mut Network,
+            action: &[bool],
+        ) -> Result<f32, HeadStartError> {
+            self.reward(net, action)
+        }
+        fn as_parallel(&self) -> Option<&dyn ParallelReward> {
+            Some(self)
+        }
+    }
+
+    impl ParallelReward for SlowOrPanicking {
+        fn reward(&self, _net: &mut Network, action: &[bool]) -> Result<f32, HeadStartError> {
+            if action[0] {
+                self.open();
+                panic!("reward fails");
+            }
+            let open = self.gate.0.lock().expect("gate lock");
+            let wait = self
+                .gate
+                .1
+                .wait_timeout_while(open, Duration::from_secs(5), |o| !*o);
+            drop(wait.expect("gate lock"));
+            thread::sleep(Duration::from_millis(20));
+            let mut parts = [0.0f32; 4];
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
+                .iter_mut()
+                .enumerate()
+                .map(|(i, part)| {
+                    Box::new(move || *part = i as f32) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            hs_tensor::pool::run_tasks(tasks);
+            self.done.fetch_add(1, Ordering::SeqCst);
+            Ok(parts.iter().sum())
         }
     }
 
@@ -190,6 +260,42 @@ mod tests {
             a.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_panicking_shard_waits_for_its_running_siblings() {
+        // Round-robin: worker 0's only item panics while workers 1 and 2
+        // wait mid-shard. The batch's panic may surface only after both
+        // have written through their borrows.
+        let mut net = tiny_net();
+        let actions: Vec<Vec<bool>> = (0..3).map(|i| vec![i == 0; 8]).collect();
+        let mut unit = SlowOrPanicking::default();
+        let mut coord = Coordinator::new(3);
+        coord.begin_unit(&net, "toy");
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            coord.eval_batch(&mut unit, &mut net, &actions)
+        }));
+        assert!(outcome.is_err(), "the shard's panic must reach the caller");
+        assert_eq!(
+            unit.done.load(Ordering::SeqCst),
+            2,
+            "eval_batch unwound early"
+        );
+    }
+
+    #[test]
+    fn nested_pool_batches_finish_before_the_batch_returns() {
+        // Each job's reward dispatches a pool batch that writes through
+        // borrows of the job's own locals.
+        let mut net = tiny_net();
+        let actions = vec![vec![false; 8]; 5];
+        let mut unit = SlowOrPanicking::default();
+        unit.open();
+        let mut coord = Coordinator::new(2);
+        coord.begin_unit(&net, "toy");
+        let rewards = coord.eval_batch(&mut unit, &mut net, &actions).unwrap();
+        assert_eq!(rewards, vec![6.0; 5]);
+        assert_eq!(unit.done.load(Ordering::SeqCst), 5);
     }
 
     #[test]

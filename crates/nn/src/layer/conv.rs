@@ -1,12 +1,15 @@
 //! 2-D convolution, the layer HeadStart prunes.
 
 use hs_tensor::workspace::with_scratch;
-use hs_tensor::{col2im_into, gemm_ex, im2col_into, Conv2dGeometry, Init, Rng, Shape, Tensor};
+use hs_tensor::{
+    col2im_into, gemm_ex, gemm_patches, Conv2dGeometry, Init, Patches, Rng, Shape, Tensor,
+};
 
 use crate::error::NnError;
 use crate::param::Param;
 
-/// 2-D convolution with square kernels, implemented by `im2col` + GEMM.
+/// 2-D convolution with square kernels, implemented as a GEMM over the
+/// input's patch matrix, read in place ([`gemm_patches`]).
 ///
 /// The weight layout is `[out_channels, in_channels, k, k]` — axis 0 is the
 /// *filter* axis (pruned when this layer's own feature maps are dropped)
@@ -140,9 +143,10 @@ impl Conv2d {
 
     /// Forward pass over a `[B, C, H, W]` batch.
     ///
-    /// Consecutive samples are lowered a group at a time
-    /// ([`Conv2dGeometry::group_size`]) so one GEMM covers the group; a
-    /// group of one multiplies straight into the output.
+    /// Consecutive samples are multiplied a group at a time
+    /// ([`Conv2dGeometry::group_size`]) so one GEMM over the group's patch
+    /// matrix covers it; a group of one multiplies straight into the
+    /// output.
     ///
     /// # Errors
     ///
@@ -167,38 +171,28 @@ impl Conv2d {
         // operand row-major — use it in place, no clone/reshape.
         let w2d = self.weight.value.data();
         let bias = self.bias.value.data();
-        let col_rows = geom.col_rows();
         let sample_len = geom.input_len();
         let group = geom.group_size(batch);
         let mut out = vec![0.0f32; batch * out_len];
         for b0 in (0..batch).step_by(group) {
             let g = group.min(batch - b0);
-            let x = &input.data()[b0 * sample_len..(b0 + g) * sample_len];
+            let x = Patches::new(
+                &input.data()[b0 * sample_len..(b0 + g) * sample_len],
+                &geom,
+                g,
+            );
             let y = &mut out[b0 * out_len..(b0 + g) * out_len];
-            // Lower the group into workspace scratch: after warm-up this
-            // whole loop performs zero heap allocations.
-            with_scratch(g * geom.col_len(), |col| {
-                im2col_into(x, col, &geom, g);
-                if g == 1 {
-                    // [N, oh·ow] is already the sample's output layout.
-                    gemm_ex(y, w2d, col, n, col_rows, positions, false, false, false);
-                } else {
-                    with_scratch(g * out_len, |yg| {
-                        gemm_ex(
-                            yg,
-                            w2d,
-                            col,
-                            n,
-                            col_rows,
-                            g * positions,
-                            false,
-                            false,
-                            false,
-                        );
-                        swap_leading_axes(yg, y, n, g, positions);
-                    });
-                }
-            });
+            if g == 1 {
+                // [N, oh·ow] is already the sample's output layout.
+                gemm_patches(y, w2d, n, &x, false, false);
+            } else {
+                // Workspace scratch: after warm-up this whole loop
+                // performs zero heap allocations.
+                with_scratch(g * out_len, |yg| {
+                    gemm_patches(yg, w2d, n, &x, false, false);
+                    swap_leading_axes(yg, y, n, g, positions);
+                });
+            }
             add_bias(y, bias, positions);
         }
         if train {
@@ -251,20 +245,21 @@ impl Conv2d {
         for b0 in (0..batch).step_by(group) {
             let g = group.min(batch - b0);
             let cols = g * positions;
-            let x = &input.data()[b0 * sample_len..(b0 + g) * sample_len];
+            let x = Patches::new(
+                &input.data()[b0 * sample_len..(b0 + g) * sample_len],
+                &geom,
+                g,
+            );
             let dy = &grad_out.data()[b0 * out_len..(b0 + g) * out_len];
             let dxg = &mut dx[b0 * sample_len..(b0 + g) * sample_len];
-            with_scratch(g * geom.col_len(), |col| {
-                // Recomputed im2col: trades FLOPs for activation memory.
-                im2col_into(x, col, &geom, g);
-                with_lowered_grad(dy, g, n, positions, |dy2d| {
-                    // dW += dY · colᵀ
-                    gemm_ex(wgrad, dy2d, col, n, cols, col_rows, false, true, true);
-                    with_scratch(g * geom.col_len(), |dcol| {
-                        // dX = col2im(Wᵀ · dY)
-                        gemm_ex(dcol, w2d, dy2d, col_rows, n, cols, true, false, false);
-                        col2im_into(dcol, dxg, &geom, g, false);
-                    });
+            with_lowered_grad(dy, g, n, positions, |dy2d| {
+                // dW += dY · colᵀ, the patches read again from the cached
+                // input: trades FLOPs for activation memory.
+                gemm_patches(wgrad, dy2d, n, &x, true, true);
+                with_scratch(g * geom.col_len(), |dcol| {
+                    // dX = col2im(Wᵀ · dY)
+                    gemm_ex(dcol, w2d, dy2d, col_rows, n, cols, true, false, false);
+                    col2im_into(dcol, dxg, &geom, g, false);
                 });
             });
             // db += Σ_positions dY, one sample at a time.
@@ -620,6 +615,123 @@ mod tests {
         assert_eq!(geom.group_size(3), 2, "batch of 3 must split 2 + 1");
         let x = Tensor::randn(Shape::d4(3, 4, 18, 18), &mut rng);
         finite_diff_check(&mut conv, &x, 1e-2, 2e-2);
+    }
+
+    /// Direct nested-loop convolution in f64: the forward output for `x`
+    /// and, for the output gradient `dy`, the input, weight and bias
+    /// gradients, each flat in its tensor's layout.
+    fn direct_conv(conv: &Conv2d, x: &Tensor, dy: &Tensor) -> [Vec<f64>; 4] {
+        let w = conv.weight.value.data();
+        let (n, c, k) = (conv.out_channels(), conv.in_channels(), conv.kernel());
+        let (batch, h, wd) = (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3));
+        let (oh, ow) = (dy.shape().dim(2), dy.shape().dim(3));
+        let (stride, pad) = (conv.stride() as isize, conv.padding() as isize);
+        let mut y = vec![0.0f64; batch * n * oh * ow];
+        let mut dx = vec![0.0f64; x.len()];
+        let mut dw = vec![0.0f64; w.len()];
+        let mut db = vec![0.0f64; n];
+        for b in 0..batch {
+            for (f, db_f) in db.iter_mut().enumerate() {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let yi = ((b * n + f) * oh + oy) * ow + ox;
+                        let g = dy.data()[yi] as f64;
+                        y[yi] = conv.bias.value.data()[f] as f64;
+                        *db_f += g;
+                        for ci in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let iy = oy as isize * stride + ky as isize - pad;
+                                    let ix = ox as isize * stride + kx as isize - pad;
+                                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= wd as isize {
+                                        continue;
+                                    }
+                                    let xi = ((b * c + ci) * h + iy as usize) * wd + ix as usize;
+                                    let wi = ((f * c + ci) * k + ky) * k + kx;
+                                    y[yi] += w[wi] as f64 * x.data()[xi] as f64;
+                                    dx[xi] += w[wi] as f64 * g;
+                                    dw[wi] += x.data()[xi] as f64 * g;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        [y, dx, dw, db]
+    }
+
+    /// `(C, N, k, stride, padding, H, W, batches)`.
+    type OracleCase = (
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        &'static [usize],
+    );
+
+    /// Cases for the direct-loop oracle: k = 1, 3, 5 and 11 at strides 1,
+    /// 2 and 4 and padding 0 to 2 on H ≠ W inputs; 1×1 and 2×2 maps at
+    /// padding 1, as in the search net's deep layers, with oh·ow < `NR`
+    /// and C·k·k > `KC`; and a patch matrix larger than `KC`×`NC` floats.
+    fn oracle_cases() -> Vec<OracleCase> {
+        let mut cases = Vec::new();
+        for k in [1, 3, 5, 11] {
+            for stride in [1, 2, 4] {
+                for pad in 0..=2 {
+                    cases.push((2, 3, k, stride, pad, k + 2, k + 5, &[1, 7][..]));
+                }
+            }
+        }
+        cases.extend([
+            (32, 16, 3, 1, 1, 1, 1, &[1, 7, 33][..]),
+            (32, 16, 3, 1, 1, 2, 2, &[1, 7, 33][..]),
+            (3, 8, 3, 1, 1, 9, 6, &[33][..]),
+            (16, 4, 3, 1, 1, 64, 64, &[1][..]),
+        ]);
+        cases
+    }
+
+    #[test]
+    fn forward_and_gradients_match_direct_loops() {
+        let mut rng = Rng::seed_from(13);
+        let (mut naive, mut blocked, mut ragged) = (false, false, false);
+        for (c, n, k, stride, pad, h, w, batches) in oracle_cases() {
+            let conv = Conv2d::new(c, n, k, stride, pad, &mut rng);
+            let geom = Conv2dGeometry::new(c, h, w, k, stride, pad);
+            let work = n * geom.col_rows() * geom.col_cols();
+            naive |= work < hs_tensor::SMALL_THRESHOLD;
+            blocked |= work >= hs_tensor::SMALL_THRESHOLD;
+            for &batch in batches {
+                ragged |= batch % geom.group_size(batch) != 0;
+                let mut conv = conv.clone();
+                conv.bias.value = Tensor::randn(Shape::d1(n), &mut rng);
+                let x = Tensor::randn(Shape::d4(batch, c, h, w), &mut rng);
+                let y = conv.forward(&x, true).unwrap();
+                let dy = Tensor::randn(y.shape().clone(), &mut rng);
+                let dx = conv.backward(&dy).unwrap();
+                let want = direct_conv(&conv, &x, &dy);
+                let (dw, db) = (conv.weight.grad_mut().clone(), conv.bias.grad_mut().clone());
+                let got = [y.data(), dx.data(), dw.data(), db.data()];
+                for ((name, got), want) in ["y", "dX", "dW", "db"].iter().zip(got).zip(&want) {
+                    assert_eq!(got.len(), want.len(), "{name}");
+                    let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert!(
+                            (*g as f64 - w).abs() <= 1e-4 * scale,
+                            "{name}[{i}] {g} vs {w}: {geom:?} batch {batch}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            naive && blocked && ragged,
+            "cases must cover both paths and a ragged group"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Verifies the scratch-arena acceptance criterion: after one warm-up
 //! iteration, a conv forward+backward pass performs **zero** heap
-//! allocations for im2col / col2im / GEMM packing buffers — every
+//! allocations for col2im / GEMM output / GEMM packing buffers — every
 //! `with_scratch` checkout is served from the thread-local arena.
 //!
 //! This file holds a single test on purpose: the arena counters are
@@ -14,7 +14,7 @@ use hs_tensor::{workspace, Conv2dGeometry, Rng, Shape, Tensor};
 fn conv_forward_backward_is_zero_alloc_after_warmup() {
     let mut rng = Rng::seed_from(42);
     // Small enough to stay on the calling thread (below the parallel
-    // thresholds), large enough to exercise im2col + both GEMMs. The
+    // thresholds), large enough to exercise all three GEMMs. The
     // batch of 11 lowers as a group of 8 and a ragged group of 3.
     let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
     let x = Tensor::randn(Shape::d4(11, 3, 12, 12), &mut rng);

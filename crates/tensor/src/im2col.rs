@@ -1,20 +1,24 @@
-//! `im2col`/`col2im` lowering: convolution as matrix multiplication.
+//! Convolution as matrix multiplication: the patch matrix and its
+//! adjoint.
 //!
 //! This is the same strategy cuDNN-era GPU frameworks used and the reason
 //! structured (channel/filter) pruning maps directly to smaller GEMMs on
 //! GPGPUs — the premise of the HeadStart paper. A `[C, H, W]` input patch
-//! grid becomes a `[C·kh·kw, oh·ow]` matrix; convolving with filters
+//! grid is a `[C·kh·kw, oh·ow]` matrix; convolving with filters
 //! `[N, C·kh·kw]` is then a single matmul per sample.
 //!
-//! The `_into` variants ([`im2col_into`], [`col2im_into`]) lower a group
-//! of `g` consecutive samples side by side into one `[C·kh·kw, g·oh·ow]`
-//! matrix, so one matmul covers the whole group; `g = 1` is the
-//! per-sample lowering. They write a caller-owned slice — typically
-//! scratch from [`crate::workspace`] — so hot loops perform no heap
-//! allocation, and they parallelize over channels on the persistent
-//! [`crate::pool`] for large feature maps. Each task owns a disjoint
-//! slice of the output, so results are bit-identical for every thread
-//! count.
+//! The patch matrix is never built. [`Patches`] views `g` consecutive
+//! samples as their `[C·kh·kw, g·oh·ow]` patch matrix (`g = 1` is the
+//! per-sample layout), and [`crate::gemm_patches`] reads it, or its
+//! transpose, straight from the image into the GEMM's packed panels
+//! (implicit GEMM, as in cuDNN). [`col2im_into`], the adjoint, scatters a
+//! patch-matrix gradient back onto a caller-owned buffer — typically
+//! scratch from [`crate::workspace`] — and parallelizes over
+//! `(sample, channel)` planes on the persistent [`crate::pool`] for large
+//! inputs. Each task owns one plane, so results are bit-identical for
+//! every thread count. [`im2col`] still materializes one sample's patch
+//! matrix, element by element, as the reference the tests compare
+//! against.
 
 use crate::error::TensorError;
 use crate::matmul::GROUP_ELEMS;
@@ -22,6 +26,7 @@ use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Lowered matrices smaller than this many elements are not worth pool
 /// dispatch; they run on the calling thread.
@@ -125,6 +130,22 @@ impl Conv2dGeometry {
         (GROUP_ELEMS / self.col_len().max(1)).clamp(1, batch.max(1))
     }
 
+    /// Output positions `o < out` along one axis whose tap `tap` reads
+    /// inside an input of extent `len` rather than padding:
+    /// `0 ≤ o·stride + tap − padding < len`.
+    fn taps(&self, tap: usize, out: usize, len: usize) -> Range<usize> {
+        let ceil = |v: usize| {
+            if self.stride == 1 {
+                v
+            } else {
+                v.div_ceil(self.stride)
+            }
+        };
+        let hi = ceil((len + self.padding).saturating_sub(tap)).min(out);
+        let lo = ceil(self.padding.saturating_sub(tap)).min(hi);
+        lo..hi
+    }
+
     /// Geometry for the same layer after keeping only `channels` input
     /// channels (the pruning transformation).
     pub fn with_in_channels(&self, channels: usize) -> Self {
@@ -135,60 +156,78 @@ impl Conv2dGeometry {
     }
 }
 
-/// Gathers one input channel's patches into its `k·k` rows of the lowered
-/// matrix. `out` starts at the sample's first column of the channel's
-/// first row, and consecutive rows are `row_len` apart. `out` must be
-/// pre-zeroed (padding cells stay zero).
-fn im2col_channel(plane: &[f32], out: &mut [f32], row_len: usize, geom: &Conv2dGeometry) {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let k = geom.kernel;
-    let cols = oh * ow;
-    let (h, w) = (geom.in_h as isize, geom.in_w as isize);
-    for ky in 0..k {
-        for kx in 0..k {
-            let row = ky * k + kx;
-            let dst = &mut out[row * row_len..row * row_len + cols];
-            for oy in 0..oh {
-                let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                if iy < 0 || iy >= h {
-                    continue; // zero padding: leave zeros
-                }
-                let src_row = &plane[iy as usize * geom.in_w..(iy as usize + 1) * geom.in_w];
-                let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-                for (ox, d) in dst_row.iter_mut().enumerate() {
-                    let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                    if ix >= 0 && ix < w {
-                        *d = src_row[ix as usize];
-                    }
-                }
-            }
+/// `samples` consecutive `[C, H, W]` samples seen as their
+/// `[C·k·k, samples·oh·ow]` patch matrix, without building it: row
+/// `(c·k + ky)·k + kx` holds tap `(ky, kx)` of channel `c`, and sample
+/// `s` fills columns `s·oh·ow..(s+1)·oh·ow`. The GEMM reads it (or its
+/// transpose) straight into its packed panels through
+/// [`crate::gemm_patches`].
+#[derive(Debug, Clone, Copy)]
+pub struct Patches<'a> {
+    pub(crate) input: &'a [f32],
+    pub(crate) geom: Conv2dGeometry,
+    pub(crate) samples: usize,
+}
+
+impl<'a> Patches<'a> {
+    /// Views `input`, `samples` consecutive `[C, H, W]` samples, as their
+    /// patch matrix under `geom`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len()` is not `samples` times the geometry's
+    /// sample length.
+    pub fn new(input: &'a [f32], geom: &Conv2dGeometry, samples: usize) -> Self {
+        assert_eq!(
+            input.len(),
+            samples * geom.input_len(),
+            "Patches: input length mismatch"
+        );
+        Patches {
+            input,
+            geom: *geom,
+            samples,
         }
+    }
+
+    /// Rows of the patch matrix: `C·k·k`.
+    pub fn rows(&self) -> usize {
+        self.geom.col_rows()
+    }
+
+    /// Columns of the patch matrix: `samples·oh·ow`.
+    pub fn cols(&self) -> usize {
+        self.samples * self.geom.col_cols()
     }
 }
 
 /// Scatters one channel's `k·k` lowered rows of one sample back onto its
 /// input plane. `col` starts at the sample's first column of the
-/// channel's first row, and consecutive rows are `row_len` apart.
+/// channel's first row, and consecutive rows are `row_len` apart. Each
+/// tap adds its valid span of every valid row as one slice, in the same
+/// order as an element-by-element scatter, so every input element gets
+/// the same adds in the same order.
 fn col2im_channel(col: &[f32], row_len: usize, plane: &mut [f32], geom: &Conv2dGeometry) {
-    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let (ow, stride, pad) = (geom.out_w(), geom.stride, geom.padding);
     let k = geom.kernel;
-    let cols = oh * ow;
-    let (h, w) = (geom.in_h as isize, geom.in_w as isize);
     for ky in 0..k {
+        let rows = geom.taps(ky, geom.out_h(), geom.in_h);
         for kx in 0..k {
-            let row = ky * k + kx;
-            let col_row = &col[row * row_len..row * row_len + cols];
-            for oy in 0..oh {
-                let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                if iy < 0 || iy >= h {
-                    continue;
-                }
-                let dst_row = &mut plane[iy as usize * geom.in_w..(iy as usize + 1) * geom.in_w];
-                let src_row = &col_row[oy * ow..(oy + 1) * ow];
-                for (ox, &s) in src_row.iter().enumerate() {
-                    let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                    if ix >= 0 && ix < w {
-                        dst_row[ix as usize] += s;
+            let cols = geom.taps(kx, ow, geom.in_w);
+            if cols.is_empty() {
+                continue;
+            }
+            let col_row = &col[(ky * k + kx) * row_len..];
+            for oy in rows.clone() {
+                let first = (oy * stride + ky - pad) * geom.in_w + cols.start * stride + kx - pad;
+                let src = &col_row[oy * ow + cols.start..oy * ow + cols.end];
+                if stride == 1 {
+                    for (d, &s) in plane[first..first + src.len()].iter_mut().zip(src) {
+                        *d += s;
+                    }
+                } else {
+                    for (d, &s) in plane[first..].iter_mut().step_by(stride).zip(src) {
+                        *d += s;
                     }
                 }
             }
@@ -196,62 +235,7 @@ fn col2im_channel(col: &[f32], row_len: usize, plane: &mut [f32], geom: &Conv2dG
     }
 }
 
-/// Lowers `samples` consecutive `[C, H, W]` samples (as one flat slice)
-/// into a caller-owned `[C·k·k, samples·oh·ow]` buffer without
-/// allocating; sample `s` fills columns `s·oh·ow..(s+1)·oh·ow` of every
-/// row. Large lowerings parallelize over channels on the persistent
-/// pool.
-///
-/// # Panics
-///
-/// Panics if `input` or `out` lengths disagree with `geom` and `samples`.
-pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry, samples: usize) {
-    assert_eq!(
-        input.len(),
-        samples * geom.input_len(),
-        "im2col_into: input length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        samples * geom.col_len(),
-        "im2col_into: output length mismatch"
-    );
-    telem::im2col_calls().inc();
-    telem::im2col_bytes().add(std::mem::size_of_val(out) as u64);
-    out.fill(0.0);
-    let plane = geom.in_h * geom.in_w;
-    let (cols, row_len) = (geom.col_cols(), samples * geom.col_cols());
-    let rows_per_c = geom.kernel * geom.kernel * row_len;
-    let run = |c0: usize, c1: usize, out: &mut [f32]| {
-        for c in c0..c1 {
-            let rows = &mut out[(c - c0) * rows_per_c..(c - c0 + 1) * rows_per_c];
-            for s in 0..samples {
-                let first = (s * geom.in_channels + c) * plane;
-                im2col_channel(
-                    &input[first..first + plane],
-                    &mut rows[s * cols..],
-                    row_len,
-                    geom,
-                );
-            }
-        }
-    };
-    if out.len() < PARALLEL_ELEMS || geom.in_channels < 2 {
-        run(0, geom.in_channels, out);
-        return;
-    }
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(rows_per_c)
-        .enumerate()
-        .map(|(c, chunk)| {
-            let run = &run;
-            Box::new(move || run(c, c + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool::run_tasks(tasks);
-}
-
-/// Adjoint of [`im2col_into`]: scatters a `[C·k·k, samples·oh·ow]`
+/// Adjoint of the [`Patches`] view: scatters a `[C·k·k, samples·oh·ow]`
 /// patch-matrix gradient (flat slice) onto a caller-owned
 /// `[samples, C, H, W]` buffer. Overlapping windows accumulate; with
 /// `accumulate = false` the output is zeroed first, otherwise the scatter
@@ -312,10 +296,12 @@ pub fn col2im_into(
     pool::run_tasks(tasks);
 }
 
-/// Lowers one `[C, H, W]` sample to the `[C·k·k, oh·ow]` patch matrix.
+/// Lowers one `[C, H, W]` sample to the `[C·k·k, oh·ow]` patch matrix,
+/// one bounds-checked element at a time.
 ///
-/// Allocates a fresh tensor; hot paths should prefer [`im2col_into`] with
-/// workspace scratch.
+/// Convolutions never call this: they read the patches in place through
+/// [`Patches`]. It is the independent reference the tests compare that
+/// view against.
 ///
 /// # Errors
 ///
@@ -330,16 +316,31 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
             rhs: want,
         });
     }
-    let mut out = vec![0.0f32; geom.col_len()];
-    im2col_into(input.data(), &mut out, geom, 1);
-    Tensor::from_vec(Shape::d2(geom.col_rows(), geom.col_cols()), out)
+    let (k, ow) = (geom.kernel, geom.out_w());
+    let (h, w, pad) = (
+        geom.in_h as isize,
+        geom.in_w as isize,
+        geom.padding as isize,
+    );
+    let out = Tensor::from_fn(Shape::d2(geom.col_rows(), geom.col_cols()), |idx| {
+        let (c, ky, kx) = (idx[0] / (k * k), idx[0] / k % k, idx[0] % k);
+        let (oy, ox) = (idx[1] / ow, idx[1] % ow);
+        let iy = (oy * geom.stride + ky) as isize - pad;
+        let ix = (ox * geom.stride + kx) as isize - pad;
+        if iy < 0 || iy >= h || ix < 0 || ix >= w {
+            0.0
+        } else {
+            input.at(&[c, iy as usize, ix as usize])
+        }
+    });
+    Ok(out)
 }
 
 /// Adjoint of [`im2col`]: scatters a `[C·k·k, oh·ow]` patch-matrix gradient
 /// back onto a `[C, H, W]` input gradient (overlaps accumulate).
 ///
-/// Allocates a fresh tensor; hot paths should prefer [`col2im_into`] with
-/// workspace scratch.
+/// Allocates a fresh tensor; hot paths use [`col2im_into`] with workspace
+/// scratch.
 ///
 /// # Errors
 ///
@@ -475,57 +476,99 @@ mod tests {
         assert_eq!(g2.out_h(), g.out_h());
     }
 
-    #[test]
-    fn parallel_im2col_matches_serial_layout() {
-        // Big enough to take the pooled path; compare against per-channel
-        // serial lowering.
-        let mut rng = Rng::seed_from(9);
-        let g = Conv2dGeometry::new(8, 40, 40, 3, 1, 1);
-        let x = Tensor::randn(Shape::d3(8, 40, 40), &mut rng);
-        assert!(g.col_len() >= PARALLEL_ELEMS);
-        let col = im2col(&x, &g).unwrap();
-        let mut want = vec![0.0f32; g.col_len()];
-        let plane = g.in_h * g.in_w;
-        let rows_per_c = g.kernel * g.kernel * g.col_cols();
-        for c in 0..g.in_channels {
-            im2col_channel(
-                &x.data()[c * plane..(c + 1) * plane],
-                &mut want[c * rows_per_c..(c + 1) * rows_per_c],
-                g.col_cols(),
-                &g,
-            );
+    /// Geometries with every tap position against the border: strides
+    /// 1, 2 and 4, padding 0 to 2, 1×1 and 2×2 maps, H ≠ W and 1×1 to
+    /// 5×5 kernels.
+    fn border_geometries() -> Vec<Conv2dGeometry> {
+        let mut grid = Vec::new();
+        for (h, w) in [(1, 1), (2, 2), (5, 7), (9, 4)] {
+            for k in [1, 2, 3, 5] {
+                for stride in [1, 2, 4] {
+                    for pad in 0..=2 {
+                        if h + 2 * pad >= k && w + 2 * pad >= k {
+                            grid.push(Conv2dGeometry::new(2, h, w, k, stride, pad));
+                        }
+                    }
+                }
+            }
         }
-        assert_eq!(col.data(), &want[..]);
+        grid
+    }
+
+    /// The element-by-element scatter [`col2im_channel`] replaced.
+    fn col2im_channel_reference(
+        col: &[f32],
+        row_len: usize,
+        plane: &mut [f32],
+        geom: &Conv2dGeometry,
+    ) {
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let k = geom.kernel;
+        let (h, w) = (geom.in_h as isize, geom.in_w as isize);
+        for ky in 0..k {
+            for kx in 0..k {
+                let col_row = &col[(ky * k + kx) * row_len..];
+                for oy in 0..oh {
+                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
+                    if iy < 0 || iy >= h {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
+                        if ix >= 0 && ix < w {
+                            plane[iy as usize * geom.in_w + ix as usize] += col_row[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn grouped_lowering_places_each_sample_in_its_columns() {
+    fn col2im_by_spans_matches_the_element_scatter_bit_for_bit() {
+        // Accumulating onto random planes makes the add order visible in
+        // the bits.
+        let mut rng = Rng::seed_from(11);
+        for g in border_geometries() {
+            let samples = 2;
+            let col: Vec<f32> = (0..samples * g.col_len()).map(|_| rng.normal()).collect();
+            let init: Vec<f32> = (0..samples * g.input_len()).map(|_| rng.normal()).collect();
+            let mut got = init.clone();
+            col2im_into(&col, &mut got, &g, samples, true);
+            let mut want = init;
+            let (plane, cols) = (g.in_h * g.in_w, g.col_cols());
+            let rows_per_c = g.kernel * g.kernel * samples * cols;
+            for s in 0..samples {
+                for c in 0..g.in_channels {
+                    let i = s * g.in_channels + c;
+                    col2im_channel_reference(
+                        &col[c * rows_per_c + s * cols..],
+                        samples * cols,
+                        &mut want[i * plane..(i + 1) * plane],
+                        &g,
+                    );
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn grouped_col2im_matches_per_sample_col2im() {
         // Stride 2 and padding, with a group big enough for the pooled
-        // path: each sample's columns must equal its own lowering, and
-        // the grouped col2im must equal the per-sample col2im.
+        // path: the grouped scatter equals each sample's own.
         let mut rng = Rng::seed_from(10);
         let g = Conv2dGeometry::new(4, 49, 49, 3, 2, 1);
         let samples = 3;
         assert!(samples * g.col_len() >= PARALLEL_ELEMS);
-        let x = Tensor::randn(Shape::d4(samples, 4, 49, 49), &mut rng);
-        let mut col = vec![0.0f32; samples * g.col_len()];
-        im2col_into(x.data(), &mut col, &g, samples);
-        let dy: Vec<f32> = (0..col.len()).map(|_| rng.normal()).collect();
-        let mut dx = vec![0.0f32; x.len()];
+        let dy: Vec<f32> = (0..samples * g.col_len()).map(|_| rng.normal()).collect();
+        let mut dx = vec![0.0f32; samples * g.input_len()];
         col2im_into(&dy, &mut dx, &g, samples, false);
         let (cols, row_len) = (g.col_cols(), samples * g.col_cols());
         for s in 0..samples {
-            let sample = &x.data()[s * g.input_len()..(s + 1) * g.input_len()];
-            let mut own = vec![0.0f32; g.col_len()];
-            im2col_into(sample, &mut own, &g, 1);
             let mut own_dy = vec![0.0f32; g.col_len()];
             for r in 0..g.col_rows() {
-                let grouped = &col[r * row_len + s * cols..r * row_len + (s + 1) * cols];
-                assert_eq!(
-                    grouped,
-                    &own[r * cols..(r + 1) * cols],
-                    "sample {s} row {r}"
-                );
                 own_dy[r * cols..(r + 1) * cols]
                     .copy_from_slice(&dy[r * row_len + s * cols..r * row_len + (s + 1) * cols]);
             }

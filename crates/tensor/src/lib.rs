@@ -4,8 +4,8 @@
 //! This crate provides the minimal-but-complete substrate that replaces it:
 //! a contiguous row-major N-dimensional tensor with the kernels deep
 //! learning needs — elementwise arithmetic, reductions, a blocked
-//! multi-threaded matrix multiply, and `im2col`/`col2im` lowering for
-//! convolutions — plus a deterministic, seedable random number generator so
+//! multi-threaded matrix multiply that reads a convolution's patches
+//! straight from the image (and `col2im` for its input gradient) — plus a deterministic, seedable random number generator so
 //! every experiment in the repository is reproducible bit-for-bit.
 //!
 //! # Example
@@ -39,9 +39,9 @@ mod tensor;
 pub mod workspace;
 
 pub use error::TensorError;
-pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
+pub use im2col::{col2im, col2im_into, im2col, Conv2dGeometry, Patches};
 pub use init::Init;
-pub use matmul::{gemm_ex, GROUP_ELEMS, KC, NR, SMALL_THRESHOLD};
+pub use matmul::{gemm_ex, gemm_patches, GROUP_ELEMS, KC, NR, SMALL_THRESHOLD};
 pub use rng::{Rng, RngSnapshot};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,5 +1,5 @@
-//! Matrix multiplication: the workhorse kernel behind convolution
-//! (via im2col lowering) and fully connected layers.
+//! Matrix multiplication: the workhorse kernel behind convolution and
+//! fully connected layers.
 //!
 //! The implementation is a BLIS-style cache-blocked GEMM. B is packed once
 //! per call into `NR`-column panels spanning the whole depth; A is read in
@@ -11,11 +11,18 @@
 //! block of B, so one per call unless B outgrows `KC`×`NC` floats — and
 //! small problems fall back to a naive loop that skips packing overhead.
 //!
-//! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled by
-//! [`gemm_ex`] through the strip addressing and the B packing, so
-//! backpropagation never materializes a transposed copy, and
-//! `accumulate = true` adds into an existing output buffer (used to
-//! accumulate weight gradients in place).
+//! B is either a dense matrix ([`gemm_ex`]) or a convolution's patch
+//! matrix read straight from the image ([`gemm_patches`], the implicit
+//! GEMM of cuDNN): the packer writes each panel from the `[g, C, H, W]`
+//! input, and the naive loop reads the same packed panels, so the
+//! `[C·k·k, g·oh·ow]` matrix is never built. Either way every packed
+//! float lands in the same panel slot with the same value, and the
+//! microkernel cannot tell the two apart.
+//!
+//! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled through the
+//! strip addressing and the B packing, so backpropagation never
+//! materializes a transposed copy, and `accumulate = true` adds into an
+//! existing output buffer (used to accumulate weight gradients in place).
 //!
 //! # Determinism
 //!
@@ -27,6 +34,7 @@
 //! discards them. Results are bit-identical for any `HS_NUM_THREADS`.
 
 use crate::error::TensorError;
+use crate::im2col::Patches;
 use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
@@ -88,18 +96,27 @@ fn b_at(b: &[f32], k: usize, n: usize, p: usize, j: usize, trans: bool) -> f32 {
     }
 }
 
-/// Naive fallback for problems too small to amortize packing. Skips zero
-/// multipliers, which matters for pruned (masked) weight matrices.
+/// The B operand of a GEMM: a dense `k`×`n` matrix (stored `n`×`k` when
+/// transposed), or a patch matrix read from its image (transposed for the
+/// weight gradient's `dY·colᵀ`).
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    Dense(&'a [f32]),
+    Patches(Patches<'a>),
+}
+
+/// Naive fallback for problems too small to amortize packing, reading
+/// B through `b_at(p, j)`. Skips zero multipliers, which matters for
+/// pruned (masked) weight matrices.
 #[allow(clippy::too_many_arguments)]
 fn gemm_small(
     out: &mut [f32],
     a: &[f32],
-    b: &[f32],
+    b_at: impl Fn(usize, usize) -> f32,
     m: usize,
     k: usize,
     n: usize,
     trans_a: bool,
-    trans_b: bool,
 ) {
     for i in 0..m {
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -109,7 +126,7 @@ fn gemm_small(
                 continue;
             }
             for (j, o) in out_row.iter_mut().enumerate() {
-                *o += a_ip * b_at(b, k, n, p, j, trans_b);
+                *o += a_ip * b_at(p, j);
             }
         }
     }
@@ -153,7 +170,12 @@ type Kernel = fn(&Strip<'_>, &[f32], &mut [f32; MR * NR]);
 /// full depth: `bp[panel][p * NR + c] = B(p, jc + panel·NR + c)`,
 /// zero-padding columns past `nc`. Depth `pc` of panel `pj` therefore
 /// starts at `(pj·k + pc)·NR`.
-fn pack_b(bp: &mut [f32], b: &[f32], k: usize, n: usize, jc: usize, nc: usize, trans: bool) {
+fn pack_b(bp: &mut [f32], b: Rhs<'_>, k: usize, n: usize, jc: usize, nc: usize, trans: bool) {
+    let b = match b {
+        Rhs::Dense(b) => b,
+        Rhs::Patches(patches) if trans => return pack_patches_t(bp, &patches, jc, nc),
+        Rhs::Patches(patches) => return pack_patches(bp, &patches, jc, nc),
+    };
     for (pj, jr) in (0..nc).step_by(NR).enumerate() {
         let dst = &mut bp[pj * k * NR..(pj + 1) * k * NR];
         let cols = NR.min(nc - jr);
@@ -168,6 +190,107 @@ fn pack_b(bp: &mut [f32], b: &[f32], k: usize, n: usize, jc: usize, nc: usize, t
             }
         }
     }
+}
+
+/// [`pack_b`] for the patch matrix, written from the image. A panel's
+/// lanes are `NR` output positions. For each tap `(ky, kx)`, every lane's
+/// offset into its sample, and whether it reads padding, is worked out
+/// once and reused across all `C` channels; when the lanes read `NR`
+/// consecutive interior pixels of one row (stride 1), each channel's
+/// cell is one copy. Padding and lanes past `nc` read `+0.0`.
+fn pack_patches(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
+    let g = &patches.geom;
+    let (k, depth) = (g.kernel, patches.rows());
+    let (plane, oh, ow, positions) = (g.in_h * g.in_w, g.out_h(), g.out_w(), g.col_cols());
+    let (rows, cols) = (g.padding..g.padding + g.in_h, g.padding..g.padding + g.in_w);
+    if plane == 0 {
+        // An empty image is all padding.
+        bp[..nc.div_ceil(NR) * depth * NR].fill(0.0);
+        return;
+    }
+    for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+        let panel = &mut bp[pj * depth * NR..(pj + 1) * depth * NR];
+        let lanes = NR.min(nc - jr);
+        // Each lane's sample and the padded-image corner of its window,
+        // stepping through the positions from the panel's first.
+        let (mut s, q) = ((jc + jr) / positions, (jc + jr) % positions);
+        let (mut oy, mut ox) = (q / ow, q % ow);
+        let corner: [(usize, usize, usize); NR] = std::array::from_fn(|_| {
+            let lane = (s, oy * g.stride, ox * g.stride);
+            ox += 1;
+            if ox == ow {
+                (oy, ox) = (oy + 1, 0);
+                if oy == oh {
+                    (s, oy) = (s + 1, 0);
+                }
+            }
+            lane
+        });
+        let (s0, y0, x0) = corner[0];
+        let one_row = g.stride == 1 && lanes == NR && corner[NR - 1] == (s0, y0, x0 + NR - 1);
+        for ky in 0..k {
+            for kx in 0..k {
+                // Lane offsets into channel 0 of the group; a lane that
+                // reads padding loads pixel 0 and keeps none of its bits.
+                let mut at = [0usize; NR];
+                let mut keep = [0u32; NR];
+                let run = one_row
+                    && rows.contains(&(y0 + ky))
+                    && cols.contains(&(x0 + kx))
+                    && cols.contains(&(x0 + kx + NR - 1));
+                for (l, &(s, y, x)) in corner.iter().enumerate().take(if run { 1 } else { lanes }) {
+                    if rows.contains(&(y + ky)) && cols.contains(&(x + kx)) {
+                        let pixel = (y + ky - g.padding) * g.in_w + x + kx - g.padding;
+                        at[l] = s * g.input_len() + pixel;
+                        keep[l] = u32::MAX;
+                    }
+                }
+                let first = (ky * k + kx) * NR;
+                for c in 0..g.in_channels {
+                    let image = &patches.input[c * plane..];
+                    // Depth `(c·k + ky)·k + kx`.
+                    let cell = &mut panel[first + c * k * k * NR..][..NR];
+                    if run {
+                        cell.copy_from_slice(&image[at[0]..at[0] + NR]);
+                    } else {
+                        for l in 0..NR {
+                            cell[l] = f32::from_bits(image[at[l]].to_bits() & keep[l]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`pack_b`] for the transposed patch matrix, the weight gradient's
+/// `colᵀ`: its panels' lanes are `NR` patch rows and their depth runs over
+/// every output position of every sample. Packs `NR` positions at a time
+/// as one [`pack_patches`] panel, then writes that panel's `NR`×`NR`
+/// tiles transposed; lanes past `nc` read `+0.0`.
+fn pack_patches_t(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
+    let (rows, depth) = (patches.rows(), patches.cols());
+    with_scratch(rows * NR, |tile| {
+        for q0 in (0..depth).step_by(NR) {
+            let positions = NR.min(depth - q0);
+            pack_patches(tile, patches, q0, positions);
+            for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+                let block: [[f32; NR]; NR] = std::array::from_fn(|c| {
+                    if jr + c < nc {
+                        std::array::from_fn(|l| tile[(jc + jr + c) * NR + l])
+                    } else {
+                        [0.0; NR]
+                    }
+                });
+                let panel = &mut bp[(pj * depth + q0) * NR..][..positions * NR];
+                for (l, cell) in panel.chunks_exact_mut(NR).enumerate() {
+                    for (slot, row) in cell.iter_mut().zip(&block) {
+                        *slot = row[l];
+                    }
+                }
+            }
+        }
+    });
 }
 
 /// The portable register-tiled core. The panel is unit stride and the
@@ -322,11 +445,12 @@ pub fn gemm_ex(
     trans_b: bool,
     accumulate: bool,
 ) {
+    assert_eq!(b.len(), k * n, "gemm_ex: rhs length mismatch");
     gemm_with(
         best_kernel(),
         out,
         a,
-        b,
+        Rhs::Dense(b),
         m,
         k,
         n,
@@ -336,14 +460,53 @@ pub fn gemm_ex(
     );
 }
 
-/// [`gemm_ex`] with the microkernel as a parameter, so tests can run each
-/// kernel on any host that supports it.
+/// [`gemm_ex`] with B a convolution's patch matrix, read straight from the
+/// image: `out[m×n] (+)= a[m×k] · col` with `col` the `[C·k·k, g·oh·ow]`
+/// patch matrix of `patches`, or `· colᵀ` when `trans_b` is set (the
+/// weight gradient `dW += dY·colᵀ`). The patch matrix is never built; the
+/// product's bits equal [`gemm_ex`] over the materialized matrix.
+///
+/// # Panics
+///
+/// Panics if `a` is not `m×k` or `out` not `m×n` for the patch matrix's
+/// `k` and `n`.
+pub fn gemm_patches(
+    out: &mut [f32],
+    a: &[f32],
+    m: usize,
+    patches: &Patches<'_>,
+    trans_b: bool,
+    accumulate: bool,
+) {
+    let (rows, cols) = (patches.rows(), patches.cols());
+    let (k, n) = if trans_b { (cols, rows) } else { (rows, cols) };
+    // The patch bytes this product lowers: the size of the matrix an
+    // explicit im2col would have built.
+    telem::im2col_calls().inc();
+    telem::im2col_bytes().add((rows * cols * std::mem::size_of::<f32>()) as u64);
+    gemm_with(
+        best_kernel(),
+        out,
+        a,
+        Rhs::Patches(*patches),
+        m,
+        k,
+        n,
+        false,
+        trans_b,
+        accumulate,
+    );
+}
+
+/// The GEMM behind both [`gemm_ex`] and [`gemm_patches`], with the
+/// microkernel as a parameter so tests can run each kernel on any host
+/// that supports it. `b`'s extent is checked by the callers.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     kernel: Kernel,
     out: &mut [f32],
     a: &[f32],
-    b: &[f32],
+    b: Rhs<'_>,
     m: usize,
     k: usize,
     n: usize,
@@ -352,7 +515,6 @@ fn gemm_with(
     accumulate: bool,
 ) {
     assert_eq!(a.len(), m * k, "gemm_ex: lhs length mismatch");
-    assert_eq!(b.len(), k * n, "gemm_ex: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_ex: out length mismatch");
     if !accumulate {
         out.fill(0.0);
@@ -366,7 +528,19 @@ fn gemm_with(
     if work < SMALL_THRESHOLD {
         // No timing here: two clock reads would be measurable against a
         // few thousand multiply-accumulates.
-        gemm_small(out, a, b, m, k, n, trans_a, trans_b);
+        match b {
+            Rhs::Dense(b) => {
+                let dense = |p, j| b_at(b, k, n, p, j, trans_b);
+                gemm_small(out, a, dense, m, k, n, trans_a);
+            }
+            // A patch operand is read from its packed panels, which hold
+            // the values the dense operand would.
+            Rhs::Patches(_) => with_scratch(n.div_ceil(NR) * NR * k, |bp| {
+                pack_b(bp, b, k, n, 0, n, trans_b);
+                let packed = |p, j| bp[(j / NR * k + p) * NR + j % NR];
+                gemm_small(out, a, packed, m, k, n, trans_a);
+            }),
+        }
         return;
     }
     let timer = std::time::Instant::now();
@@ -707,7 +881,7 @@ mod tests {
                     reference(&mut want, &av, &bv, m, k, n, ta, tb, acc);
                     for (name, kernel) in kernels() {
                         let mut got = init.clone();
-                        gemm_with(kernel, &mut got, &av, &bv, m, k, n, ta, tb, acc);
+                        gemm_with(kernel, &mut got, &av, Rhs::Dense(&bv), m, k, n, ta, tb, acc);
                         for (g, w) in got.iter().zip(&want) {
                             assert!(
                                 (g - w).abs() <= 1e-4 * (1.0 + g.abs().max(w.abs())),
@@ -730,6 +904,87 @@ mod tests {
             let s = Strip::new(&a, m, k, m / MR * MR, KC, 5, trans);
             assert_eq!(KC * s.stride + s.rows[MR - 1] + 4 * s.stride, m * k - 1);
         }
+    }
+
+    /// `(C, H, W, k, stride, padding, samples)` for the patch-operand
+    /// tests: k = 1, 3, 5 and 11 at strides 1, 2 and 4 and padding 0 to
+    /// 2 on H ≠ W inputs, then 1×1 and 2×2 maps at padding 1 with
+    /// C·k·k > `KC` and oh·ow < `NR`, groups of 7 and 33 samples, an
+    /// empty image that is all padding, and a patch matrix larger than
+    /// `KC`×`NC` floats, which packs in two column blocks either way
+    /// round.
+    fn patch_geometries() -> Vec<(usize, usize, usize, usize, usize, usize, usize)> {
+        let mut grid = Vec::new();
+        for k in [1, 3, 5, 11] {
+            for stride in [1, 2, 4] {
+                for pad in 0..=2 {
+                    grid.push((2, k + 2, k + 5, k, stride, pad, 1 + pad));
+                }
+            }
+        }
+        grid.extend([
+            (32, 1, 1, 3, 1, 1, 7),
+            (32, 2, 2, 3, 1, 1, 33),
+            (3, 5, 4, 3, 2, 1, 7),
+            (2, 0, 3, 3, 1, 2, 3),
+            (16, 64, 64, 3, 1, 1, 1),
+        ]);
+        grid
+    }
+
+    #[test]
+    fn patch_operand_equals_gemm_ex_over_the_materialized_patches_bit_for_bit() {
+        const { assert!(16 * 9 * 64 * 64 > KC * NC) };
+        let mut rng = Rng::seed_from(12);
+        let (mut naive, mut blocked) = (false, false);
+        for (c, h, w, k, stride, pad, samples) in patch_geometries() {
+            let geom = crate::Conv2dGeometry::new(c, h, w, k, stride, pad);
+            let x = Tensor::randn(Shape::d4(samples, c, h, w), &mut rng);
+            let patches = Patches::new(x.data(), &geom, samples);
+            let (rows, cols) = (patches.rows(), patches.cols());
+            // The group's patch matrix, built sample by sample.
+            let mut col = vec![0.0f32; rows * cols];
+            for s in 0..samples {
+                let sample = x.index_select(0, &[s]).unwrap();
+                let own = crate::im2col(&sample.reshape(Shape::d3(c, h, w)).unwrap(), &geom);
+                let own = own.unwrap();
+                let per = geom.col_cols();
+                for r in 0..rows {
+                    col[r * cols + s * per..][..per].copy_from_slice(&own.data()[r * per..][..per]);
+                }
+            }
+            for m in [3, 16] {
+                for trans in [false, true] {
+                    let (kk, n) = if trans { (cols, rows) } else { (rows, cols) };
+                    // Every third weight zero, so the naive loop skips.
+                    let a: Vec<f32> = (0..m * kk)
+                        .map(|i| if i % 3 == 0 { 0.0 } else { rng.normal() })
+                        .collect();
+                    naive |= m * kk * n < SMALL_THRESHOLD;
+                    blocked |= m * kk * n >= SMALL_THRESHOLD;
+                    for acc in [false, true] {
+                        let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
+                        for (name, kernel) in kernels() {
+                            let mut want = init.clone();
+                            let dense = Rhs::Dense(&col);
+                            gemm_with(kernel, &mut want, &a, dense, m, kk, n, false, trans, acc);
+                            let mut got = init.clone();
+                            let rhs = Rhs::Patches(patches);
+                            gemm_with(kernel, &mut got, &a, rhs, m, kk, n, false, trans, acc);
+                            let same = got
+                                .iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits());
+                            assert!(
+                                same,
+                                "{name} {geom:?} g={samples} m={m} trans={trans} acc={acc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(naive && blocked, "both GEMM paths must run");
     }
 
     /// FNV-1a over `gemm_ex` at the infer workload's conv shapes, in every

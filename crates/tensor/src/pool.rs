@@ -170,9 +170,15 @@ pub fn run_tasks(tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
     {
         let mut queue = pool.queue.tasks.lock().expect("pool queue poisoned");
         for task in tasks {
-            // SAFETY: the closure may borrow caller-stack data ('_), but we
-            // block below until the whole batch has completed, so no borrow
-            // outlives this call. The queue itself requires 'static.
+            // SAFETY: the closure may borrow the caller's data ('_); the
+            // queue requires 'static. Erasing the lifetime is sound because
+            // this call never returns or unwinds while a task of its batch
+            // is queued or running: every task runs inside `catch_unwind`
+            // and then counts itself done, whichever thread pops it (the
+            // submitter included); the locks guard no user code, so they
+            // cannot be poisoned; and the submitter blocks below until the
+            // count reaches zero before it re-raises a panic. Pinned by
+            // `crates/tensor/tests/pool_soundness.rs`.
             let task: Task =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
             let batch = Arc::clone(&batch);

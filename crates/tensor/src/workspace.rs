@@ -1,13 +1,13 @@
 //! Reusable scratch memory for kernels.
 //!
-//! im2col/col2im buffers and GEMM packing panels are needed for a few
+//! col2im buffers and GEMM packing panels are needed for a few
 //! microseconds per call but were allocated fresh on every forward /
 //! backward in the seed. This module gives each thread a small arena of
 //! reusable `Vec<f32>` buffers: after warm-up, a training step or
 //! evaluator rollout performs zero scratch heap allocations.
 //!
 //! Buffers are checked out with [`with_scratch`] / [`with_scratch_zeroed`]
-//! and returned automatically; nested checkouts (e.g. conv → im2col →
+//! and returned automatically; nested checkouts (e.g. conv output →
 //! gemm packing) draw distinct buffers from the same arena. Capacities are
 //! rounded up to powers of two so differently-sized layers share buffers
 //! instead of thrashing.

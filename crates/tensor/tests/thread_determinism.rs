@@ -5,13 +5,14 @@
 //! test binary as a subprocess per configuration. The hidden `#[ignore]`
 //! test below computes a fingerprint over the parallel kernels (blocked
 //! GEMM in all transpose variants, pooled reductions, elementwise maps,
-//! multi-sample im2col/col2im)
+//! the patch-operand forward and weight-gradient products, multi-sample
+//! col2im)
 //! and prints it; the driver runs it under `HS_NUM_THREADS=1` and `=4`
 //! and asserts the fingerprints are identical bit for bit.
 
 use std::process::Command;
 
-use hs_tensor::{col2im_into, im2col_into, Conv2dGeometry, Rng, Shape, Tensor};
+use hs_tensor::{col2im_into, gemm_patches, Conv2dGeometry, Patches, Rng, Shape, Tensor};
 
 fn fnv1a(hash: &mut u64, bits: u32) {
     for byte in bits.to_le_bytes() {
@@ -53,12 +54,21 @@ fn fingerprint() {
     fnv1a(&mut hash, big.sq_norm().to_bits());
     fnv1a(&mut hash, big.l1_norm().to_bits());
     digest(&mut hash, &big);
-    // Three samples lowered side by side, past the pooled-lowering size.
+    // Three samples' patches read side by side: the forward `W·col` and
+    // the weight gradient `dW += dY·colᵀ`, both past the pooled size.
     let geom = Conv2dGeometry::new(8, 20, 20, 3, 1, 1);
     let samples = Tensor::randn(Shape::d4(3, 8, 20, 20), &mut rng);
-    let mut col = vec![0.0f32; 3 * geom.col_len()];
-    im2col_into(samples.data(), &mut col, &geom, 3);
-    col.iter().for_each(|v| fnv1a(&mut hash, v.to_bits()));
+    let patches = Patches::new(samples.data(), &geom, 3);
+    let filters = 16;
+    let w = Tensor::randn(Shape::d2(filters, geom.col_rows()), &mut rng);
+    let mut y = vec![0.0f32; filters * patches.cols()];
+    gemm_patches(&mut y, w.data(), filters, &patches, false, false);
+    y.iter().for_each(|v| fnv1a(&mut hash, v.to_bits()));
+    let dy = Tensor::randn(Shape::d2(filters, patches.cols()), &mut rng);
+    let mut dw = w.data().to_vec();
+    gemm_patches(&mut dw, dy.data(), filters, &patches, true, true);
+    dw.iter().for_each(|v| fnv1a(&mut hash, v.to_bits()));
+    let col: Vec<f32> = (0..3 * geom.col_len()).map(|_| rng.normal()).collect();
     let mut image = vec![0.0f32; samples.len()];
     col2im_into(&col, &mut image, &geom, 3, false);
     image.iter().for_each(|v| fnv1a(&mut hash, v.to_bits()));

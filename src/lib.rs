@@ -7,7 +7,8 @@
 //! * [`telemetry`] — zero-dependency structured tracing and metrics:
 //!   nested spans, a process-global counter/gauge/histogram registry,
 //!   and JSONL / Prometheus-text sinks;
-//! * [`tensor`] — dense f32 tensors, matmul, im2col, seeded RNG;
+//! * [`tensor`] — dense f32 tensors, matmul with implicit-GEMM convolution,
+//!   seeded RNG;
 //! * [`nn`] — layers, backprop, optimizers, VGG/ResNet model zoo,
 //!   parameter/FLOP accounting, channel masking and surgery;
 //! * [`data`] — synthetic CIFAR-100 / CUB-200 style dataset generators;
