@@ -995,6 +995,7 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_load_across_replicas() {
+        let _guard = crate::fault_test_lock();
         let mut fleet = tiny_fleet(FleetConfig {
             hedge_after: 0,
             ..FleetConfig::default()
@@ -1016,6 +1017,7 @@ mod tests {
 
     #[test]
     fn tenant_quota_caps_in_flight_requests_per_tenant() {
+        let _guard = crate::fault_test_lock();
         let mut fleet = tiny_fleet(FleetConfig {
             tenant_quota: 1,
             hedge_after: 0,

@@ -45,7 +45,8 @@ pub mod engine;
 pub mod health;
 
 /// Serializes tests (across this crate) that arm the process-global
-/// fault registry, so parallel test threads never see each other's plan.
+/// fault registry or run an engine, which trips it, so parallel test
+/// threads never see each other's plan.
 #[cfg(test)]
 pub(crate) fn fault_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

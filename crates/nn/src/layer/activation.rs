@@ -53,10 +53,9 @@ impl ReLU {
             });
         }
         let mut dx = grad_out.clone();
+        // A select, not a branch: a branch mispredicts on random masks.
         for (g, &keep) in dx.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         Ok(dx)
     }

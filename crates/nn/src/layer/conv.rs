@@ -2,7 +2,7 @@
 
 use hs_tensor::workspace::with_scratch;
 use hs_tensor::{
-    col2im_into, gemm_ex, gemm_patches, Conv2dGeometry, Init, Patches, Rng, Shape, Tensor,
+    col2im_into, gemm_ex, gemm_patches, Conv2dGeometry, Init, Patches, Rng, Shape, Tensor, NR,
 };
 
 use crate::error::NnError;
@@ -146,7 +146,12 @@ impl Conv2d {
     /// Consecutive samples are multiplied a group at a time
     /// ([`Conv2dGeometry::group_size`]) so one GEMM over the group's patch
     /// matrix covers it; a group of one multiplies straight into the
-    /// output.
+    /// output. A map smaller than a GEMM panel (`NR` positions) goes
+    /// position-major in groups of `NR` samples, so each panel holds one
+    /// position and skips the taps that read only padding there. That
+    /// needs a batch of `NR` and a per-sample product already on the
+    /// blocked side of `SMALL_THRESHOLD`, so no product changes side and
+    /// every output keeps its bits.
     ///
     /// # Errors
     ///
@@ -172,15 +177,25 @@ impl Conv2d {
         let w2d = self.weight.value.data();
         let bias = self.bias.value.data();
         let sample_len = geom.input_len();
-        let group = geom.group_size(batch);
+        let position_major = positions < NR
+            && batch >= NR
+            && n * geom.col_rows() * positions >= hs_tensor::SMALL_THRESHOLD;
+        let group = if position_major {
+            NR
+        } else {
+            geom.group_size(batch)
+        };
         let mut out = vec![0.0f32; batch * out_len];
         for b0 in (0..batch).step_by(group) {
             let g = group.min(batch - b0);
-            let x = Patches::new(
+            let mut x = Patches::new(
                 &input.data()[b0 * sample_len..(b0 + g) * sample_len],
                 &geom,
                 g,
             );
+            if position_major {
+                x = x.position_major();
+            }
             let y = &mut out[b0 * out_len..(b0 + g) * out_len];
             if g == 1 {
                 // [N, oh·ow] is already the sample's output layout.
@@ -190,7 +205,7 @@ impl Conv2d {
                 // performs zero heap allocations.
                 with_scratch(g * out_len, |yg| {
                     gemm_patches(yg, w2d, n, &x, false, false);
-                    swap_leading_axes(yg, y, n, g, positions);
+                    scatter_group(yg, y, n, g, positions, position_major);
                 });
             }
             add_bias(y, bias, positions);
@@ -204,8 +219,10 @@ impl Conv2d {
     }
 
     /// Backward pass: accumulates `weight.grad` / `bias.grad` and returns
-    /// the input gradient. Groups samples as [`Conv2d::forward`] does, so
-    /// one GEMM each gives a group's weight and input gradients.
+    /// the input gradient. Groups samples sample-major by
+    /// [`Conv2dGeometry::group_size`], so one GEMM each gives a group's
+    /// weight and input gradients; the group sets the weight gradient's
+    /// summation order.
     ///
     /// # Errors
     ///
@@ -290,6 +307,29 @@ fn add_bias(y: &mut [f32], bias: &[f32], positions: usize) {
     for (yf, &b) in y.chunks_mut(positions).zip(bias.iter().cycle()) {
         if b != 0.0 {
             yf.iter_mut().for_each(|v| *v += b);
+        }
+    }
+}
+
+/// Scatters a group's `[N, g·oh·ow]` GEMM output into its per-sample
+/// `[g, N, oh·ow]` layout, un-permuting position-major columns
+/// (`q·g + s`) in the same pass.
+fn scatter_group(
+    yg: &[f32],
+    y: &mut [f32],
+    n: usize,
+    g: usize,
+    positions: usize,
+    position_major: bool,
+) {
+    if !position_major {
+        return swap_leading_axes(yg, y, n, g, positions);
+    }
+    for (f, row) in yg.chunks_exact(g * positions).enumerate() {
+        for (q, column) in row.chunks_exact(g).enumerate() {
+            for (s, &v) in column.iter().enumerate() {
+                y[(s * n + f) * positions + q] = v;
+            }
         }
     }
 }
@@ -676,7 +716,9 @@ mod tests {
     /// Cases for the direct-loop oracle: k = 1, 3, 5 and 11 at strides 1,
     /// 2 and 4 and padding 0 to 2 on H ≠ W inputs; 1×1 and 2×2 maps at
     /// padding 1, as in the search net's deep layers, with oh·ow < `NR`
-    /// and C·k·k > `KC`; and a patch matrix larger than `KC`×`NC` floats.
+    /// and C·k·k > `KC`, at batches that group sample-major and, from
+    /// `NR` on, position-major with a ragged last group; and a patch
+    /// matrix larger than `KC`×`NC` floats.
     fn oracle_cases() -> Vec<OracleCase> {
         let mut cases = Vec::new();
         for k in [1, 3, 5, 11] {
@@ -688,7 +730,8 @@ mod tests {
         }
         cases.extend([
             (32, 16, 3, 1, 1, 1, 1, &[1, 7, 33][..]),
-            (32, 16, 3, 1, 1, 2, 2, &[1, 7, 33][..]),
+            (64, 16, 3, 1, 1, 1, 1, &[1, 7, 8, 9, 33][..]),
+            (32, 16, 3, 1, 1, 2, 2, &[1, 7, 8, 9, 33][..]),
             (3, 8, 3, 1, 1, 9, 6, &[33][..]),
             (16, 4, 3, 1, 1, 64, 64, &[1][..]),
         ]);
@@ -699,6 +742,7 @@ mod tests {
     fn forward_and_gradients_match_direct_loops() {
         let mut rng = Rng::seed_from(13);
         let (mut naive, mut blocked, mut ragged) = (false, false, false);
+        let mut position_major = false;
         for (c, n, k, stride, pad, h, w, batches) in oracle_cases() {
             let conv = Conv2d::new(c, n, k, stride, pad, &mut rng);
             let geom = Conv2dGeometry::new(c, h, w, k, stride, pad);
@@ -707,9 +751,21 @@ mod tests {
             blocked |= work >= hs_tensor::SMALL_THRESHOLD;
             for &batch in batches {
                 ragged |= batch % geom.group_size(batch) != 0;
+                position_major |= geom.col_cols() < NR
+                    && batch > NR
+                    && work >= hs_tensor::SMALL_THRESHOLD
+                    && batch % NR != 0;
                 let mut conv = conv.clone();
                 conv.bias.value = Tensor::randn(Shape::d1(n), &mut rng);
-                let x = Tensor::randn(Shape::d4(batch, c, h, w), &mut rng);
+                let mut x = Tensor::randn(Shape::d4(batch, c, h, w), &mut rng);
+                // Zero a random subset of channels in every sample, so the
+                // GEMM leaves their depths out.
+                let dead: Vec<bool> = (0..c).map(|_| rng.uniform() < 0.3).collect();
+                for (i, v) in x.data_mut().iter_mut().enumerate() {
+                    if dead[i / (h * w) % c] {
+                        *v = 0.0;
+                    }
+                }
                 let y = conv.forward(&x, true).unwrap();
                 let dy = Tensor::randn(y.shape().clone(), &mut rng);
                 let dx = conv.backward(&dy).unwrap();
@@ -729,8 +785,8 @@ mod tests {
             }
         }
         assert!(
-            naive && blocked && ragged,
-            "cases must cover both paths and a ragged group"
+            naive && blocked && ragged && position_major,
+            "cases must cover both paths, a ragged group and a ragged position-major group"
         );
     }
 

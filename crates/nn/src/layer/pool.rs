@@ -60,40 +60,19 @@ impl MaxPool2d {
         }
         let (b, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let (oh, ow) = (h / self.window, w / self.window);
-        let mut out = vec![f32::NEG_INFINITY; b * c * oh * ow];
-        let mut argmax = vec![0usize; b * c * oh * ow];
-        let data = input.data();
-        for bc in 0..b * c {
-            let in_base = bc * h * w;
-            let out_base = bc * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for dy in 0..self.window {
-                        let iy = oy * self.window + dy;
-                        for dx in 0..self.window {
-                            let ix = ox * self.window + dx;
-                            let idx = in_base + iy * w + ix;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out[out_base + oy * ow + ox] = best;
-                    argmax[out_base + oy * ow + ox] = best_idx;
-                }
-            }
-        }
+        let mut out = vec![0.0f32; b * c * oh * ow];
         let out_shape = Shape::d4(b, c, oh, ow);
+        let planes = (input.data(), b * c, h, w);
         if train {
+            let mut argmax = vec![0usize; out.len()];
+            window_max::<true>(planes, self.window, &mut out, &mut argmax);
             self.cache = Some(PoolCache {
                 argmax,
                 in_shape: shape.clone(),
                 out_shape: out_shape.clone(),
             });
         } else {
+            window_max::<false>(planes, self.window, &mut out, &mut []);
             self.cache = None;
         }
         Ok(Tensor::from_vec(out_shape, out)?)
@@ -122,6 +101,45 @@ impl MaxPool2d {
             dx.data_mut()[cache.argmax[i]] += g;
         }
         Ok(dx)
+    }
+}
+
+/// The max of each `window`×`window` window of `(data, planes, h, w)`,
+/// scanned row by row from `NEG_INFINITY` and replaced only by a larger
+/// value, so the first of equal maxima wins and NaN never does. With
+/// `ARGMAX` each winner's input index goes to `argmax`; without, the
+/// update is a select instead of a branch.
+fn window_max<const ARGMAX: bool>(
+    (data, planes, h, w): (&[f32], usize, usize, usize),
+    window: usize,
+    out: &mut [f32],
+    argmax: &mut [usize],
+) {
+    let (oh, ow) = (h / window, w / window);
+    for p in 0..planes {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0;
+                for iy in oy * window..(oy + 1) * window {
+                    for ix in ox * window..(ox + 1) * window {
+                        let idx = (p * h + iy) * w + ix;
+                        let v = data[idx];
+                        if !ARGMAX {
+                            best = if v > best { v } else { best };
+                        } else if v > best {
+                            best = v;
+                            best_idx = idx;
+                        }
+                    }
+                }
+                let o = (p * oh + oy) * ow + ox;
+                out[o] = best;
+                if ARGMAX {
+                    argmax[o] = best_idx;
+                }
+            }
+        }
     }
 }
 
@@ -354,6 +372,39 @@ mod tests {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::zeros(Shape::d4(1, 1, 5, 4));
         assert!(pool.forward(&x, false).is_err());
+    }
+
+    #[test]
+    fn maxpool_inference_equals_training_bit_for_bit() {
+        // Windows of NaN, ±0 in both orders, ties, a lone -inf and mixes
+        // of them; the rest random, so 3×3 windows also mix the kinds.
+        let mut rng = Rng::seed_from(4);
+        let specials = [
+            [f32::NAN, 1.0, -2.0, f32::NAN],
+            [f32::NAN; 4],
+            [-0.0, 0.0, -0.0, -1.0],
+            [0.0, -0.0, -3.0, -0.0],
+            [2.5, 2.5, -2.5, 2.5],
+            [f32::NEG_INFINITY; 4],
+            [f32::NAN, -0.0, f32::NEG_INFINITY, 0.0],
+        ];
+        for window in [2, 3] {
+            let mut x = Tensor::randn(Shape::d4(2, 3, 6, 6), &mut rng);
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                if i % 3 != 2 {
+                    *v = specials[i / 4 % specials.len()][i % 4];
+                }
+            }
+            let mut pool = MaxPool2d::new(window);
+            let train = pool.forward(&x, true).unwrap();
+            let infer = pool.forward(&x, false).unwrap();
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&infer), bits(&train), "window {window}");
+            assert!(train
+                .data()
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+        }
     }
 
     #[test]

@@ -20,18 +20,25 @@ fn conv_forward_backward_is_zero_alloc_after_warmup() {
     let x = Tensor::randn(Shape::d4(11, 3, 12, 12), &mut rng);
     let geom = Conv2dGeometry::new(3, 12, 12, 3, 1, 1);
     assert_eq!(geom.group_size(11), 8, "the batch must span two groups");
+    // A 2×2 map forwards position-major in groups of 8 and 3, and its
+    // panels leave out the taps that read padding, through depth tables.
+    let mut small = Conv2d::new(32, 16, 3, 1, 1, &mut rng);
+    let xs = Tensor::randn(Shape::d4(11, 32, 2, 2), &mut rng);
+    let step = |conv: &mut Conv2d, x: &Tensor| {
+        let y = conv.forward(x, true).unwrap();
+        let dy = Tensor::ones(y.shape().clone());
+        conv.backward(&dy).unwrap();
+    };
 
     // Warm-up: populates this thread's arena with every buffer size the
     // fwd+bwd path checks out.
-    let y = conv.forward(&x, true).unwrap();
-    let dy = Tensor::ones(y.shape().clone());
-    conv.backward(&dy).unwrap();
+    step(&mut conv, &x);
+    step(&mut small, &xs);
 
     workspace::reset_stats();
     for _ in 0..5 {
-        let y = conv.forward(&x, true).unwrap();
-        let dy = Tensor::ones(y.shape().clone());
-        conv.backward(&dy).unwrap();
+        step(&mut conv, &x);
+        step(&mut small, &xs);
     }
     assert_eq!(
         workspace::alloc_count(),

@@ -26,6 +26,8 @@ use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
 use crate::tensor::Tensor;
+use crate::workspace::with_vec;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Lowered matrices smaller than this many elements are not worth pool
@@ -159,14 +161,16 @@ impl Conv2dGeometry {
 /// `samples` consecutive `[C, H, W]` samples seen as their
 /// `[C·k·k, samples·oh·ow]` patch matrix, without building it: row
 /// `(c·k + ky)·k + kx` holds tap `(ky, kx)` of channel `c`, and sample
-/// `s` fills columns `s·oh·ow..(s+1)·oh·ow`. The GEMM reads it (or its
-/// transpose) straight into its packed panels through
-/// [`crate::gemm_patches`].
+/// `s` fills columns `s·oh·ow..(s+1)·oh·ow`, or, for a
+/// [`Patches::position_major`] view, position `q` fills columns
+/// `q·samples..(q+1)·samples`. The GEMM reads it (or its transpose)
+/// straight into its packed panels through [`crate::gemm_patches`].
 #[derive(Debug, Clone, Copy)]
 pub struct Patches<'a> {
     pub(crate) input: &'a [f32],
     pub(crate) geom: Conv2dGeometry,
     pub(crate) samples: usize,
+    pub(crate) position_major: bool,
 }
 
 impl<'a> Patches<'a> {
@@ -187,6 +191,19 @@ impl<'a> Patches<'a> {
             input,
             geom: *geom,
             samples,
+            position_major: false,
+        }
+    }
+
+    /// The same matrix with its columns in position-major order: column
+    /// `q·samples + s` holds output position `q` of sample `s`. On maps
+    /// smaller than a GEMM panel, each panel then holds one position of
+    /// `NR` samples, and the GEMM skips the taps that position reads only
+    /// as padding.
+    pub fn position_major(self) -> Self {
+        Patches {
+            position_major: true,
+            ..self
         }
     }
 
@@ -199,36 +216,66 @@ impl<'a> Patches<'a> {
     pub fn cols(&self) -> usize {
         self.samples * self.geom.col_cols()
     }
+
+    /// Pushes onto `live`, in order, each channel that holds a nonzero
+    /// value in some sample. A channel's scan stops at its first nonzero
+    /// value, so a dense input costs about one read per channel; `-0.0`
+    /// counts as zero.
+    pub(crate) fn live_channels(&self, live: &mut Vec<u32>) {
+        let (plane, len) = (self.geom.in_h * self.geom.in_w, self.geom.input_len());
+        for c in 0..self.geom.in_channels {
+            let mut planes = (0..self.samples).map(|s| &self.input[s * len + c * plane..][..plane]);
+            if planes.any(|p| p.iter().any(|&v| v != 0.0)) {
+                live.push(c as u32);
+            }
+        }
+    }
+}
+
+/// One tap `(ky, kx)` of a [`col2im_into`] call whose output rows `rows`
+/// and columns `cols` read inside the image; taps that read only padding
+/// have no span.
+struct Span {
+    tap: (usize, usize),
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+thread_local! {
+    static SPANS: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
 }
 
 /// Scatters one channel's `k·k` lowered rows of one sample back onto its
 /// input plane. `col` starts at the sample's first column of the
 /// channel's first row, and consecutive rows are `row_len` apart. Each
-/// tap adds its valid span of every valid row as one slice, in the same
-/// order as an element-by-element scatter, so every input element gets
-/// the same adds in the same order.
-fn col2im_channel(col: &[f32], row_len: usize, plane: &mut [f32], geom: &Conv2dGeometry) {
-    let (ow, stride, pad) = (geom.out_w(), geom.stride, geom.padding);
-    let k = geom.kernel;
-    for ky in 0..k {
-        let rows = geom.taps(ky, geom.out_h(), geom.in_h);
-        for kx in 0..k {
-            let cols = geom.taps(kx, ow, geom.in_w);
-            if cols.is_empty() {
-                continue;
-            }
-            let col_row = &col[(ky * k + kx) * row_len..];
-            for oy in rows.clone() {
-                let first = (oy * stride + ky - pad) * geom.in_w + cols.start * stride + kx - pad;
-                let src = &col_row[oy * ow + cols.start..oy * ow + cols.end];
-                if stride == 1 {
-                    for (d, &s) in plane[first..first + src.len()].iter_mut().zip(src) {
-                        *d += s;
-                    }
-                } else {
-                    for (d, &s) in plane[first..].iter_mut().step_by(stride).zip(src) {
-                        *d += s;
-                    }
+/// tap of `spans` adds its valid span of every valid row as one slice, in
+/// the same order as an element-by-element scatter, so every input
+/// element gets the same adds in the same order.
+fn col2im_channel(
+    col: &[f32],
+    row_len: usize,
+    plane: &mut [f32],
+    geom: &Conv2dGeometry,
+    spans: &[Span],
+) {
+    let (ow, stride, pad, k) = (geom.out_w(), geom.stride, geom.padding, geom.kernel);
+    for Span {
+        tap: (ky, kx),
+        rows,
+        cols,
+    } in spans
+    {
+        let col_row = &col[(ky * k + kx) * row_len..];
+        for oy in rows.clone() {
+            let first = (oy * stride + ky - pad) * geom.in_w + cols.start * stride + kx - pad;
+            let src = &col_row[oy * ow + cols.start..oy * ow + cols.end];
+            if stride == 1 {
+                for (d, &s) in plane[first..first + src.len()].iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                for (d, &s) in plane[first..].iter_mut().step_by(stride).zip(src) {
+                    *d += s;
                 }
             }
         }
@@ -268,32 +315,50 @@ pub fn col2im_into(
     let plane = geom.in_h * geom.in_w;
     let channels = geom.in_channels;
     let (cols, row_len) = (geom.col_cols(), samples * geom.col_cols());
-    let rows_per_c = geom.kernel * geom.kernel * row_len;
-    // One (sample, channel) plane of the output per index `i`.
-    let run = |i0: usize, i1: usize, out: &mut [f32]| {
-        for i in i0..i1 {
-            let (s, c) = (i / channels, i % channels);
-            col2im_channel(
-                &col[c * rows_per_c + s * cols..],
-                row_len,
-                &mut out[(i - i0) * plane..(i - i0 + 1) * plane],
-                geom,
-            );
+    let (k, rows_per_c) = (geom.kernel, geom.kernel * geom.kernel * row_len);
+    with_vec(&SPANS, |spans| {
+        for ky in 0..k {
+            let rows = geom.taps(ky, geom.out_h(), geom.in_h);
+            for kx in 0..k {
+                let cols = geom.taps(kx, geom.out_w(), geom.in_w);
+                if !rows.is_empty() && !cols.is_empty() {
+                    let rows = rows.clone();
+                    spans.push(Span {
+                        tap: (ky, kx),
+                        rows,
+                        cols,
+                    });
+                }
+            }
         }
-    };
-    if col.len() < PARALLEL_ELEMS || channels < 2 || plane == 0 {
-        run(0, samples * channels, out);
-        return;
-    }
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(plane)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let run = &run;
-            Box::new(move || run(i, i + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool::run_tasks(tasks);
+        let spans = &spans[..];
+        // One (sample, channel) plane of the output per index `i`.
+        let run = |i0: usize, i1: usize, out: &mut [f32]| {
+            for i in i0..i1 {
+                let (s, c) = (i / channels, i % channels);
+                col2im_channel(
+                    &col[c * rows_per_c + s * cols..],
+                    row_len,
+                    &mut out[(i - i0) * plane..(i - i0 + 1) * plane],
+                    geom,
+                    spans,
+                );
+            }
+        };
+        if col.len() < PARALLEL_ELEMS || channels < 2 || plane == 0 {
+            run(0, samples * channels, out);
+            return;
+        }
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+            .chunks_mut(plane)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let run = &run;
+                Box::new(move || run(i, i + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool::run_tasks(tasks);
+    });
 }
 
 /// Lowers one `[C, H, W]` sample to the `[C·k·k, oh·ow]` patch matrix,

@@ -19,6 +19,14 @@
 //! float lands in the same panel slot with the same value, and the
 //! microkernel cannot tell the two apart.
 //!
+//! The microkernel walks a depth table rather than a depth range: a
+//! whole block's table is `0, s, 2s, …`, and a forward patch panel may
+//! leave out the depths it knows are zero (taps that read only padding,
+//! channels zero across the group) and pack only its live cells, with a
+//! table listing their depths. The `KC` blocks keep their boundaries and
+//! every surviving product its place in the sum, so the bits do not
+//! change.
+//!
 //! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled through the
 //! strip addressing and the B packing, so backpropagation never
 //! materializes a transposed copy, and `accumulate = true` adds into an
@@ -39,7 +47,9 @@ use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
 use crate::tensor::Tensor;
-use crate::workspace::with_scratch;
+use crate::workspace::{with_scratch, with_vec};
+use crate::Conv2dGeometry;
+use std::cell::Cell;
 
 /// Problems smaller than this many multiply-accumulates stay single
 /// threaded; pool dispatch overhead dominates below it.
@@ -160,11 +170,69 @@ impl<'a> Strip<'a> {
             kc,
         }
     }
+
+    /// The largest depth offset a table may hold for this strip: its last
+    /// depth, `(kc - 1)·stride`.
+    fn reach(&self) -> usize {
+        (self.kc - 1) * self.stride
+    }
 }
 
-/// A microkernel: `acc[MR×NR] += strip · panel` over the strip's `kc`
-/// depth steps, with the panel packed `NR` floats per step.
-type Kernel = fn(&Strip<'_>, &[f32], &mut [f32; MR * NR]);
+/// A microkernel: `acc[MR×NR] += strip · panel` over a depth table. Step
+/// `j` multiplies lane `r`'s `a[rows[r] + offs[j]]` by the panel's cell
+/// `j`, `NR` floats at `j·NR`. A table is pre-multiplied by the strip's
+/// depth stride: a dense block passes `0, stride, 2·stride, …`, and a
+/// compacted one only the depths its panel keeps.
+///
+/// # Safety
+///
+/// `offs` must ascend: the AVX2 kernel bounds its unchecked loads by the
+/// table's last entry alone.
+type Kernel = unsafe fn(&Strip<'_>, &[u32], &[f32], &mut [f32; MR * NR]);
+
+/// A column block of B packed for the microkernel: panel `pj`'s `KC`
+/// block at depth `pc` starts at cell `pj·k + pc` of `cells` (a cell is
+/// `NR` floats, one depth). When the packer left depths out, `tables`
+/// starts with one entry per (panel, `KC` block): 0 for a block packed
+/// whole, else the index `t` of its table, which holds the block's live
+/// count at `tables[t]` and then the depth offset from `pc` of each live
+/// cell, in the order the cells sit from the block's first. Without
+/// tables every block is whole.
+struct Packed<'a> {
+    cells: &'a [f32],
+    tables: &'a [u32],
+}
+
+impl Packed<'_> {
+    /// The depth table and cells of panel `pj`'s `kc`-deep block at `pc`
+    /// of a `k`-deep product; `dense` is the table of a whole block.
+    fn block<'t>(
+        &'t self,
+        pj: usize,
+        pc: usize,
+        kc: usize,
+        k: usize,
+        dense: &'t [u32; KC],
+    ) -> (&'t [u32], &'t [f32]) {
+        let offs = match self.tables.get(pj * k.div_ceil(KC) + pc / KC) {
+            Some(&t) if t != 0 => {
+                let t = t as usize;
+                &self.tables[t + 1..][..self.tables[t] as usize]
+            }
+            _ => &dense[..kc],
+        };
+        (offs, &self.cells[(pj * k + pc) * NR..][..offs.len() * NR])
+    }
+}
+
+thread_local! {
+    /// The calling thread's [`Packed::tables`].
+    static TABLES: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    /// The channels of a patch group that hold a nonzero value.
+    static LIVE_CHANNELS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    /// The taps of a panel that some lane reads inside the image.
+    static LIVE_TAPS: Cell<Vec<TapLanes>> = const { Cell::new(Vec::new()) };
+}
 
 /// Packs columns `jc..jc + nc` of op(B) into `NR`-column panels over the
 /// full depth: `bp[panel][p * NR + c] = B(p, jc + panel·NR + c)`,
@@ -174,7 +242,10 @@ fn pack_b(bp: &mut [f32], b: Rhs<'_>, k: usize, n: usize, jc: usize, nc: usize, 
     let b = match b {
         Rhs::Dense(b) => b,
         Rhs::Patches(patches) if trans => return pack_patches_t(bp, &patches, jc, nc),
-        Rhs::Patches(patches) => return pack_patches(bp, &patches, jc, nc),
+        Rhs::Patches(patches) => {
+            pack_patches(bp, &patches, jc, nc, None);
+            return;
+        }
     };
     for (pj, jr) in (0..nc).step_by(NR).enumerate() {
         let dst = &mut bp[pj * k * NR..(pj + 1) * k * NR];
@@ -192,35 +263,70 @@ fn pack_b(bp: &mut [f32], b: Rhs<'_>, k: usize, n: usize, jc: usize, nc: usize, 
     }
 }
 
-/// [`pack_b`] for the patch matrix, written from the image. A panel's
-/// lanes are `NR` output positions. For each tap `(ky, kx)`, every lane's
-/// offset into its sample, and whether it reads padding, is worked out
-/// once and reused across all `C` channels; when the lanes read `NR`
-/// consecutive interior pixels of one row (stride 1), each channel's
-/// cell is one copy. Padding and lanes past `nc` read `+0.0`.
-fn pack_patches(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
-    let g = &patches.geom;
-    let (k, depth) = (g.kernel, patches.rows());
-    let (plane, oh, ow, positions) = (g.in_h * g.in_w, g.out_h(), g.out_w(), g.col_cols());
-    let (rows, cols) = (g.padding..g.padding + g.in_h, g.padding..g.padding + g.in_w);
-    if plane == 0 {
-        // An empty image is all padding.
-        bp[..nc.div_ceil(NR) * depth * NR].fill(0.0);
-        return;
+/// Where the lanes of one patch panel read tap `tap = ky·k + kx`: each
+/// lane's offset into channel 0 of the group, and a mask that keeps the
+/// pixel's bits inside the image and none on padding or past the panel's
+/// columns (a dropped lane loads pixel 0 and reads `+0.0`). With `run`,
+/// the `NR` lanes read consecutive pixels from lane 0's offset.
+#[derive(Clone, Copy)]
+struct TapLanes {
+    tap: usize,
+    at: [usize; NR],
+    keep: [u32; NR],
+    run: bool,
+}
+
+impl TapLanes {
+    /// Writes the tap's cell of one channel, `image` being that channel's
+    /// plane in the group's first sample.
+    #[inline(always)]
+    fn fill(&self, cell: &mut [f32], image: &[f32]) {
+        if self.run {
+            cell.copy_from_slice(&image[self.at[0]..self.at[0] + NR]);
+        } else {
+            for l in 0..NR {
+                cell[l] = f32::from_bits(image[self.at[l]].to_bits() & self.keep[l]);
+            }
+        }
     }
-    for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-        let panel = &mut bp[pj * depth * NR..(pj + 1) * depth * NR];
-        let lanes = NR.min(nc - jr);
-        // Each lane's sample and the padded-image corner of its window,
-        // stepping through the positions from the panel's first.
-        let (mut s, q) = ((jc + jr) / positions, (jc + jr) % positions);
+}
+
+/// One patch panel's lanes: each lane's sample and the padded-image corner
+/// of its window, the number of lanes inside the column block, and
+/// whether all `NR` read one image row at stride 1.
+struct PanelLanes {
+    corner: [(usize, usize, usize); NR],
+    lanes: usize,
+    one_row: bool,
+}
+
+impl PanelLanes {
+    /// The lanes of the panel whose first column is `col`, `lanes` of them
+    /// inside the column block. Columns run sample-major (`s·oh·ow + q`) or,
+    /// for a position-major view, position-major (`q·samples + s`).
+    #[inline(always)]
+    fn new(patches: &Patches<'_>, col: usize, lanes: usize) -> Self {
+        let g = &patches.geom;
+        let (oh, ow, samples) = (g.out_h(), g.out_w(), patches.samples);
+        let (mut s, q) = if patches.position_major {
+            (col % samples, col / samples)
+        } else {
+            (col / (oh * ow), col % (oh * ow))
+        };
         let (mut oy, mut ox) = (q / ow, q % ow);
         let corner: [(usize, usize, usize); NR] = std::array::from_fn(|_| {
             let lane = (s, oy * g.stride, ox * g.stride);
-            ox += 1;
+            if patches.position_major {
+                s += 1;
+                if s == samples {
+                    (s, ox) = (0, ox + 1);
+                }
+            } else {
+                ox += 1;
+            }
             if ox == ow {
                 (oy, ox) = (oy + 1, 0);
-                if oy == oh {
+                if oy == oh && !patches.position_major {
                     (s, oy) = (s + 1, 0);
                 }
             }
@@ -228,39 +334,183 @@ fn pack_patches(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
         });
         let (s0, y0, x0) = corner[0];
         let one_row = g.stride == 1 && lanes == NR && corner[NR - 1] == (s0, y0, x0 + NR - 1);
-        for ky in 0..k {
-            for kx in 0..k {
-                // Lane offsets into channel 0 of the group; a lane that
-                // reads padding loads pixel 0 and keeps none of its bits.
-                let mut at = [0usize; NR];
-                let mut keep = [0u32; NR];
-                let run = one_row
-                    && rows.contains(&(y0 + ky))
-                    && cols.contains(&(x0 + kx))
-                    && cols.contains(&(x0 + kx + NR - 1));
-                for (l, &(s, y, x)) in corner.iter().enumerate().take(if run { 1 } else { lanes }) {
-                    if rows.contains(&(y + ky)) && cols.contains(&(x + kx)) {
-                        let pixel = (y + ky - g.padding) * g.in_w + x + kx - g.padding;
-                        at[l] = s * g.input_len() + pixel;
-                        keep[l] = u32::MAX;
-                    }
-                }
-                let first = (ky * k + kx) * NR;
+        PanelLanes {
+            corner,
+            lanes,
+            one_row,
+        }
+    }
+
+    /// Where the lanes read tap `(ky, kx)`.
+    #[inline(always)]
+    fn tap(&self, g: &Conv2dGeometry, ky: usize, kx: usize) -> TapLanes {
+        let (rows, cols) = (g.padding..g.padding + g.in_h, g.padding..g.padding + g.in_w);
+        let (_, y0, x0) = self.corner[0];
+        let run = self.one_row
+            && rows.contains(&(y0 + ky))
+            && cols.contains(&(x0 + kx))
+            && cols.contains(&(x0 + kx + NR - 1));
+        let mut lanes = TapLanes {
+            tap: ky * g.kernel + kx,
+            at: [0; NR],
+            keep: [0; NR],
+            run,
+        };
+        let take = if run { 1 } else { self.lanes };
+        for (l, &(s, y, x)) in self.corner.iter().enumerate().take(take) {
+            if rows.contains(&(y + ky)) && cols.contains(&(x + kx)) {
+                let pixel = (y + ky - g.padding) * g.in_w + x + kx - g.padding;
+                lanes.at[l] = s * g.input_len() + pixel;
+                lanes.keep[l] = u32::MAX;
+            }
+        }
+        lanes
+    }
+
+    /// Packs the panel whole, tap by tap: the tap's lanes are worked out
+    /// once and reused across all `C` channels.
+    #[inline(never)]
+    fn pack_whole(&self, panel: &mut [f32], patches: &Patches<'_>) {
+        let g = &patches.geom;
+        let (taps, plane) = (g.kernel * g.kernel, g.in_h * g.in_w);
+        for ky in 0..g.kernel {
+            for kx in 0..g.kernel {
+                let tap = self.tap(g, ky, kx);
                 for c in 0..g.in_channels {
-                    let image = &patches.input[c * plane..];
-                    // Depth `(c·k + ky)·k + kx`.
-                    let cell = &mut panel[first + c * k * k * NR..][..NR];
-                    if run {
-                        cell.copy_from_slice(&image[at[0]..at[0] + NR]);
-                    } else {
-                        for l in 0..NR {
-                            cell[l] = f32::from_bits(image[at[l]].to_bits() & keep[l]);
-                        }
-                    }
+                    // Depth `c·k·k + tap`.
+                    let cell = &mut panel[(c * taps + tap.tap) * NR..][..NR];
+                    tap.fill(cell, &patches.input[c * plane..]);
                 }
             }
         }
     }
+
+    /// True when some lane reads tap `(ky, kx)` inside the image.
+    #[inline(always)]
+    fn reads_image(&self, g: &Conv2dGeometry, ky: usize, kx: usize) -> bool {
+        let (rows, cols) = (g.padding..g.padding + g.in_h, g.padding..g.padding + g.in_w);
+        self.corner[..self.lanes]
+            .iter()
+            .any(|&(_, y, x)| rows.contains(&(y + ky)) && cols.contains(&(x + kx)))
+    }
+
+    /// True when some lane's whole window lies inside the image, so no tap
+    /// reads only padding.
+    #[inline(always)]
+    fn has_inner_window(&self, g: &Conv2dGeometry) -> bool {
+        let (rows, cols) = (g.padding..g.padding + g.in_h, g.padding..g.padding + g.in_w);
+        let last = g.kernel - 1;
+        self.corner[..self.lanes].iter().any(|&(_, y, x)| {
+            rows.contains(&y)
+                && rows.contains(&(y + last))
+                && cols.contains(&x)
+                && cols.contains(&(x + last))
+        })
+    }
+}
+
+/// [`pack_b`] for the patch matrix, written from the image. A panel's
+/// lanes are `NR` output positions. For each tap `(ky, kx)`, every lane's
+/// offset into its sample, and whether it reads padding, is worked out
+/// once and reused across all `C` channels; when the lanes read `NR`
+/// consecutive interior pixels of one row (stride 1), each channel's
+/// cell is one copy. Padding and lanes past `nc` read `+0.0`.
+///
+/// With `tables`, a panel also leaves out the depths it knows read only
+/// zeros: the taps no lane reads inside the image, and the channels that
+/// are zero in every sample of the group. Each `KC` block keeps its live
+/// cells in depth order from its first cell and gets a depth table (see
+/// [`Packed`]). A panel with no such depth is packed whole, as without
+/// tables. Returns the left-out depths summed over the panels' lanes.
+fn pack_patches(
+    bp: &mut [f32],
+    patches: &Patches<'_>,
+    jc: usize,
+    nc: usize,
+    tables: Option<&mut Vec<u32>>,
+) -> usize {
+    let g = &patches.geom;
+    let (k, depth) = (g.kernel, patches.rows());
+    let (taps, plane, panels) = (k * k, g.in_h * g.in_w, nc.div_ceil(NR));
+    let Some(tables) = tables else {
+        if plane == 0 {
+            // An empty image is all padding.
+            bp[..panels * depth * NR].fill(0.0);
+            return 0;
+        }
+        for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+            let lanes = PanelLanes::new(patches, jc + jr, NR.min(nc - jr));
+            lanes.pack_whole(&mut bp[pj * depth * NR..(pj + 1) * depth * NR], patches);
+        }
+        return 0;
+    };
+    // One header entry per (panel, block), then a shared empty table that
+    // every block of a left-out panel starts from.
+    let blocks = depth.div_ceil(KC);
+    tables.resize(panels * blocks, 0);
+    let empty = tables.len() as u32;
+    tables.push(0);
+    if plane == 0 {
+        tables[..panels * blocks].fill(empty);
+        return nc * depth;
+    }
+    with_vec(&LIVE_CHANNELS, |channels| {
+        patches.live_channels(channels);
+        let all_channels = channels.len() == g.in_channels;
+        with_vec(&LIVE_TAPS, |live_taps| {
+            let mut skipped = 0;
+            for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+                let panel = &mut bp[pj * depth * NR..(pj + 1) * depth * NR];
+                let lanes = PanelLanes::new(patches, jc + jr, NR.min(nc - jr));
+                if all_channels && lanes.has_inner_window(g) {
+                    lanes.pack_whole(panel, patches);
+                    continue;
+                }
+                live_taps.clear();
+                for ky in 0..k {
+                    for kx in (0..k).filter(|&kx| lanes.reads_image(g, ky, kx)) {
+                        live_taps.push(lanes.tap(g, ky, kx));
+                    }
+                }
+                if all_channels && live_taps.len() == taps {
+                    lanes.pack_whole(panel, patches);
+                    continue;
+                }
+                // Room for a count per block and a depth per live cell.
+                let start = tables.len();
+                let live = channels.len() * live_taps.len();
+                tables.resize(start + blocks + live, 0);
+                let (header, region) = tables.split_at_mut(start);
+                let header = &mut header[pj * blocks..(pj + 1) * blocks];
+                header.fill(empty);
+                // `at` is the block's count entry in `region`, `j` its cells.
+                let (mut block, mut at, mut j, mut w) = (usize::MAX, 0, 0, 0);
+                for &c in channels.iter() {
+                    let image = &patches.input[c as usize * plane..];
+                    for tap in live_taps.iter() {
+                        let d = c as usize * taps + tap.tap;
+                        if d / KC != block {
+                            region[at] = j as u32;
+                            (block, at, j) = (d / KC, w, 0);
+                            header[block] = (start + w) as u32;
+                            w += 1;
+                        }
+                        region[w] = (d - block * KC) as u32;
+                        tap.fill(&mut panel[(block * KC + j) * NR..][..NR], image);
+                        (j, w) = (j + 1, w + 1);
+                    }
+                }
+                region[at] = j as u32;
+                tables.truncate(start + w);
+                skipped += (depth - live) * lanes.lanes;
+            }
+            if skipped == 0 {
+                // Every panel is whole: no tables to read.
+                tables.clear();
+            }
+            skipped
+        })
+    })
 }
 
 /// [`pack_b`] for the transposed patch matrix, the weight gradient's
@@ -273,7 +523,7 @@ fn pack_patches_t(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
     with_scratch(rows * NR, |tile| {
         for q0 in (0..depth).step_by(NR) {
             let positions = NR.min(depth - q0);
-            pack_patches(tile, patches, q0, positions);
+            pack_patches(tile, patches, q0, positions, None);
             for (pj, jr) in (0..nc).step_by(NR).enumerate() {
                 let block: [[f32; NR]; NR] = std::array::from_fn(|c| {
                     if jr + c < nc {
@@ -294,14 +544,12 @@ fn pack_patches_t(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
 }
 
 /// The portable register-tiled core. The panel is unit stride and the
-/// accumulator stays in registers; A costs one strided scalar load per
-/// lane and depth step.
-fn microkernel_portable(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
-    for p in 0..s.kc {
-        let b_cell = &bp[p * NR..p * NR + NR];
-        let depth = p * s.stride;
+/// accumulator stays in registers; A costs one table-offset scalar load
+/// per lane and depth step.
+fn microkernel_portable(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    for (&off, b_cell) in offs.iter().zip(bp.chunks_exact(NR)) {
         for r in 0..MR {
-            let a_rp = s.a[s.rows[r] + depth];
+            let a_rp = s.a[s.rows[r] + off as usize];
             let row = &mut acc[r * NR..r * NR + NR];
             for c in 0..NR {
                 row[c] += a_rp * b_cell[c];
@@ -325,22 +573,22 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 and FMA (see
-    /// [`available`]) and that `bp` holds at least `s.kc * 8` elements.
-    /// The strip's loads `s.a[s.rows[r] + p * s.stride]` for `p < s.kc`
-    /// are unchecked: they stay in bounds because [`Strip::new`] asserts
-    /// the largest, `rows[MR - 1] + (kc - 1) * stride`, is below
-    /// `s.a.len()`.
+    /// [`available`]), that `bp` holds at least `offs.len() * 8`
+    /// elements, and that `offs` ascends with its last entry at most
+    /// [`Strip::reach`]. The strip's loads `s.a[s.rows[r] + offs[j]]` are
+    /// unchecked: they stay in bounds because [`Strip::new`] asserts the
+    /// largest reachable one, `rows[MR - 1] + (kc - 1) * stride`, is below
+    /// `s.a.len()`, and no entry exceeds the table's last.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fma_kernel(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
+    unsafe fn fma_kernel(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
         use std::arch::x86_64::*;
         let mut rows = [_mm256_setzero_ps(); MR];
         let a_rows = s.rows.map(|o| s.a.as_ptr().add(o));
         let mut b_ptr = bp.as_ptr();
-        for p in 0..s.kc {
+        for &off in offs {
             let b_vec = _mm256_loadu_ps(b_ptr);
-            let depth = p * s.stride;
             for (row, a_row) in rows.iter_mut().zip(&a_rows) {
-                let a_rp = _mm256_broadcast_ss(&*a_row.add(depth));
+                let a_rp = _mm256_broadcast_ss(&*a_row.add(off as usize));
                 *row = _mm256_fmadd_ps(a_rp, b_vec, *row);
             }
             b_ptr = b_ptr.add(NR);
@@ -351,12 +599,20 @@ mod x86 {
         }
     }
 
-    /// The AVX2+FMA kernel behind a safe signature.
-    pub fn microkernel(s: &Strip<'_>, bp: &[f32], acc: &mut [f32; MR * NR]) {
-        assert!(available() && bp.len() >= s.kc * NR);
-        // SAFETY: features and panel length checked above; the strip's
-        // reads are bounded by `Strip::new`.
-        unsafe { fma_kernel(s, bp, acc) }
+    /// The AVX2+FMA kernel. Checks the table's last entry only: checking
+    /// each entry on each call would cost the kernel its speed.
+    ///
+    /// # Safety
+    ///
+    /// `offs` must ascend, as [`super::Kernel`] requires.
+    pub unsafe fn microkernel(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+        let last = offs.last().map_or(0, |&off| off as usize);
+        assert!(available() && bp.len() >= offs.len() * NR && last <= s.reach());
+        debug_assert!(offs.is_sorted());
+        // SAFETY: features, panel length and the table's last entry are
+        // checked above, and the caller guarantees that entry is the
+        // largest; the strip's reads are bounded by `Strip::new`.
+        unsafe { fma_kernel(s, offs, bp, acc) }
     }
 
     /// True when the running CPU has AVX2 and FMA (cached by std).
@@ -379,13 +635,15 @@ fn best_kernel() -> Kernel {
 /// Multiplies one row block of the output (`out_block`: full `n`-wide rows
 /// from row `ic`) by packed columns `jc..jc + nc` of B. Walks the `KC`
 /// blocks in order and sweeps the microkernel over every (strip, panel)
-/// pair of each, adding valid regions into `out_block`.
+/// pair of each, through the panel block's depth table (`dense` for a
+/// whole block), adding valid regions into `out_block`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     kernel: Kernel,
     out_block: &mut [f32],
     a: &[f32],
-    bp: &[f32],
+    bp: &Packed<'_>,
+    dense: &[u32; KC],
     m: usize,
     k: usize,
     n: usize,
@@ -401,10 +659,12 @@ fn gemm_block(
             let a_strip = Strip::new(a, m, k, ic + strip, pc, kc, trans_a);
             let rows = MR.min(mc - strip);
             for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-                let bp_panel = &bp[(pj * k + pc) * NR..][..kc * NR];
+                let (offs, bp_panel) = bp.block(pj, pc, kc, k, dense);
                 let cols = NR.min(nc - jr);
                 let mut acc = [0.0f32; MR * NR];
-                kernel(&a_strip, bp_panel, &mut acc);
+                // SAFETY: every table ascends: `dense` is `0, s, 2s, …`,
+                // and `pack_patches` lists a block's live depths in order.
+                unsafe { kernel(&a_strip, offs, bp_panel, &mut acc) };
                 for r in 0..rows {
                     let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
                     let src = &acc[r * NR..r * NR + cols];
@@ -464,7 +724,12 @@ pub fn gemm_ex(
 /// image: `out[m×n] (+)= a[m×k] · col` with `col` the `[C·k·k, g·oh·ow]`
 /// patch matrix of `patches`, or `· colᵀ` when `trans_b` is set (the
 /// weight gradient `dW += dY·colᵀ`). The patch matrix is never built; the
-/// product's bits equal [`gemm_ex`] over the materialized matrix.
+/// product's bits equal [`gemm_ex`] over the materialized matrix for
+/// finite `a`. A blocked `· col` leaves out the depths each panel reads
+/// only as padding or from channels that are zero in every sample, and
+/// counts them in `hs_tensor_gemm_skipped_flops_total`; skipping a zero
+/// product changes no bits, but a non-finite weight no longer turns the
+/// outputs it would have multiplied by those zeros into NaN.
 ///
 /// # Panics
 ///
@@ -553,23 +818,50 @@ fn gemm_with(
         m.div_ceil(MR) * MR
     };
     let block_cols = (KC * NC / k / NR * NR).max(NR);
-    for jc in (0..n).step_by(block_cols) {
-        let nc = block_cols.min(n - jc);
-        with_scratch(nc.div_ceil(NR) * NR * k, |bp| {
-            pack_b(bp, b, k, n, jc, nc, trans_b);
-            let bp = &*bp;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                .chunks_mut(block_rows * n)
-                .enumerate()
-                .map(|(bi, out_block)| {
-                    let ic = bi * block_rows;
-                    Box::new(move || {
-                        gemm_block(kernel, out_block, a, bp, m, k, n, ic, jc, nc, trans_a);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool::run_tasks(tasks);
-        });
+    // The table of a whole block. A patch product's compacted tables hold
+    // bare depths, so it must read A at depth stride 1.
+    let stride = if trans_a { m } else { 1 };
+    assert!(stride == 1 || matches!(b, Rhs::Dense(_)));
+    assert!(
+        (KC - 1) * stride <= u32::MAX as usize,
+        "gemm_ex: A too tall"
+    );
+    let dense: [u32; KC] = std::array::from_fn(|p| (p * stride) as u32);
+    let mut skipped = 0;
+    with_vec(&TABLES, |tables| {
+        for jc in (0..n).step_by(block_cols) {
+            let nc = block_cols.min(n - jc);
+            with_scratch(nc.div_ceil(NR) * NR * k, |bp| {
+                tables.clear();
+                skipped += match b {
+                    Rhs::Patches(patches) if !trans_b => {
+                        pack_patches(bp, &patches, jc, nc, Some(tables))
+                    }
+                    _ => {
+                        pack_b(bp, b, k, n, jc, nc, trans_b);
+                        0
+                    }
+                };
+                let packed = Packed { cells: bp, tables };
+                let (bp, dense) = (&packed, &dense);
+                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+                    .chunks_mut(block_rows * n)
+                    .enumerate()
+                    .map(|(bi, out_block)| {
+                        let ic = bi * block_rows;
+                        Box::new(move || {
+                            gemm_block(
+                                kernel, out_block, a, bp, dense, m, k, n, ic, jc, nc, trans_a,
+                            );
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                pool::run_tasks(tasks);
+            });
+        }
+    });
+    if skipped > 0 {
+        telem::gemm_skipped_flops().add(2 * (m * skipped) as u64);
     }
     telem::gemm_secs().observe(timer.elapsed().as_secs_f64());
 }
@@ -985,6 +1277,100 @@ mod tests {
             }
         }
         assert!(naive && blocked, "both GEMM paths must run");
+    }
+
+    /// The `[C·k·k, samples·oh·ow]` patch matrix of `x`, element by
+    /// element through [`crate::im2col`], its columns in `patches`' order.
+    fn materialize(x: &Tensor, patches: &Patches<'_>) -> Vec<f32> {
+        let (g, samples) = (&patches.geom, patches.samples);
+        let (rows, cols, per) = (patches.rows(), patches.cols(), g.col_cols());
+        let mut col = vec![0.0f32; rows * cols];
+        for s in 0..samples {
+            let sample = x.index_select(0, &[s]).unwrap();
+            let shape = Shape::d3(g.in_channels, g.in_h, g.in_w);
+            let own = crate::im2col(&sample.reshape(shape).unwrap(), g).unwrap();
+            for r in 0..rows {
+                for q in 0..per {
+                    let j = if patches.position_major {
+                        q * samples + s
+                    } else {
+                        s * per + q
+                    };
+                    col[r * cols + j] = own.data()[r * per + q];
+                }
+            }
+        }
+        col
+    }
+
+    #[test]
+    fn skipped_depths_keep_the_bits_of_gemm_ex_over_the_materialized_patches() {
+        // Every patch geometry, plus 1-px and 2-px maps of 7, 8, 9 and 33
+        // samples, sample- and position-major (whose panels straddle two
+        // positions unless the group is a multiple of `NR`), with random
+        // channel subsets zeroed in every sample, some as -0.0. A channel
+        // zero in every sample but the last stays live.
+        let mut rng = Rng::seed_from(14);
+        let mut cases = patch_geometries();
+        for hw in [1, 2] {
+            for samples in [7, 8, 9, 33] {
+                cases.push((24, hw, hw, 3, 1, 1, samples));
+            }
+        }
+        let (mut naive, mut blocked, mut skipped) = (false, false, false);
+        let skips = || crate::telem::gemm_skipped_flops().get();
+        for (c, h, w, k, stride, pad, samples) in cases {
+            let geom = crate::Conv2dGeometry::new(c, h, w, k, stride, pad);
+            let mut x = Tensor::randn(Shape::d4(samples, c, h, w), &mut rng);
+            let dead: Vec<bool> = (0..c).map(|_| rng.uniform() < 0.4).collect();
+            let partly = rng.below(c);
+            let plane = h * w;
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                let (s, ch) = (i / (c * plane), i / plane % c);
+                if dead[ch] {
+                    *v = if i % 5 == 0 { -0.0 } else { 0.0 };
+                } else if ch == partly && s + 1 < samples {
+                    *v = 0.0;
+                }
+            }
+            for order in [false, true] {
+                let mut patches = Patches::new(x.data(), &geom, samples);
+                if order {
+                    patches = patches.position_major();
+                }
+                let col = materialize(&x, &patches);
+                let (kk, n) = (patches.rows(), patches.cols());
+                for m in [3, 16] {
+                    let a: Vec<f32> = (0..m * kk)
+                        .map(|i| if i % 3 == 0 { 0.0 } else { rng.normal() })
+                        .collect();
+                    naive |= m * kk * n < SMALL_THRESHOLD;
+                    blocked |= m * kk * n >= SMALL_THRESHOLD;
+                    for acc in [false, true] {
+                        let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
+                        for (name, kernel) in kernels() {
+                            let mut want = init.clone();
+                            let dense = Rhs::Dense(&col);
+                            gemm_with(kernel, &mut want, &a, dense, m, kk, n, false, false, acc);
+                            let mut got = init.clone();
+                            let before = skips();
+                            let rhs = Rhs::Patches(patches);
+                            gemm_with(kernel, &mut got, &a, rhs, m, kk, n, false, false, acc);
+                            skipped |= skips() > before;
+                            let same = got
+                                .iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits());
+                            assert!(
+                                same,
+                                "{name} {geom:?} g={samples} position-major={order} m={m} acc={acc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(naive && blocked && skipped, "both paths must run, and skip");
     }
 
     /// FNV-1a over `gemm_ex` at the infer workload's conv shapes, in every

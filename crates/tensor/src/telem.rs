@@ -20,6 +20,7 @@ macro_rules! cached_counter {
 
 cached_counter!(gemm_calls, "hs_tensor_gemm_calls_total");
 cached_counter!(gemm_flops, "hs_tensor_gemm_flops_total");
+cached_counter!(gemm_skipped_flops, "hs_tensor_gemm_skipped_flops_total");
 cached_counter!(im2col_calls, "hs_tensor_im2col_calls_total");
 cached_counter!(im2col_bytes, "hs_tensor_im2col_bytes_total");
 cached_counter!(col2im_calls, "hs_tensor_col2im_calls_total");

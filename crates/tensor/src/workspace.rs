@@ -12,10 +12,14 @@
 //! rounded up to powers of two so differently-sized layers share buffers
 //! instead of thrashing.
 //!
+//! Kernel bookkeeping that is not `f32` (the GEMM's depth tables, col2im's
+//! tap spans) lives in per-thread vectors that are emptied and reused the
+//! same way; they do not count toward the scratch high-water gauge.
+//!
 //! Global counters ([`alloc_count`] / [`reuse_count`]) make "zero
 //! allocations after warm-up" directly testable.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of fresh heap allocations performed by all arenas since process
@@ -115,9 +119,53 @@ pub fn with_scratch_zeroed<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R 
     out
 }
 
+/// Runs `f` with the calling thread's reusable vector in `cell`, emptied,
+/// for kernel bookkeeping that is not `f32` (depth tables, tap spans).
+/// A vector that had to grow counts as an allocation, one that did not as
+/// a reuse, as [`with_scratch`]'s buffers do. A nested call on the same
+/// cell starts from a fresh vector, and the outer call's is kept.
+pub(crate) fn with_vec<T, R>(
+    cell: &'static std::thread::LocalKey<Cell<Vec<T>>>,
+    f: impl FnOnce(&mut Vec<T>) -> R,
+) -> R {
+    let mut v = cell.take();
+    v.clear();
+    let capacity = v.capacity();
+    let out = f(&mut v);
+    let counter = if v.capacity() > capacity {
+        &ALLOCS
+    } else {
+        &REUSES
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    cell.set(v);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reused_vectors_keep_their_capacity_and_nest() {
+        thread_local! {
+            static CELL: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+        }
+        with_vec(&CELL, |v| v.extend(0..1000));
+        with_vec(&CELL, |v| {
+            assert!(v.is_empty() && v.capacity() >= 1000);
+            v.push(7);
+            // A nested checkout gets a vector of its own.
+            with_vec(&CELL, |inner| {
+                assert!(inner.capacity() == 0);
+                inner.push(9);
+            });
+            assert_eq!(v[..], [7]);
+        });
+        with_vec(&CELL, |v| {
+            assert!(v.capacity() >= 1000, "the outer vector is kept");
+        });
+    }
 
     #[test]
     fn second_checkout_reuses_first_buffer() {
