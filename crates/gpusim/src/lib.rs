@@ -45,7 +45,6 @@ mod workload;
 
 pub use error::GpuSimError;
 pub use model::{
-    estimate, estimate_batched_fps, estimate_energy_per_frame, estimate_workload, DeviceSpec,
-    LatencyReport, LayerLatency,
+    estimate, estimate_energy_per_frame, estimate_workload, DeviceSpec, LatencyReport, LayerLatency,
 };
 pub use workload::{lower_network, LayerWork, Workload};

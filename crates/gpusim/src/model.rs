@@ -124,42 +124,6 @@ impl LatencyReport {
     }
 }
 
-/// Estimates throughput at batch size `batch`: per-sample compute and
-/// memory scale linearly, but the per-kernel launch overhead is paid
-/// once per batch — the reason small models gain so much from batching
-/// on discrete GPUs.
-///
-/// Returns frames per second.
-///
-/// # Errors
-///
-/// Returns [`GpuSimError::BadDevice`] for invalid device parameters or a
-/// zero batch.
-pub fn estimate_batched_fps(
-    device: &DeviceSpec,
-    workload: &Workload,
-    batch: usize,
-) -> Result<f64, GpuSimError> {
-    device.validate()?;
-    if batch == 0 {
-        return Err(GpuSimError::BadDevice {
-            field: "batch",
-            detail: "batch size must be > 0".to_string(),
-        });
-    }
-    let mut total = 0.0f64;
-    for work in &workload.layers {
-        let scaled = LayerWork {
-            kind: work.kind.clone(),
-            macs: work.macs * batch as u64,
-            bytes_read: work.bytes_read * batch as u64,
-            bytes_written: work.bytes_written * batch as u64,
-        };
-        total += device.kernel_seconds(&scaled);
-    }
-    Ok(batch as f64 / total)
-}
-
 /// Estimated energy per frame in joules: active power over the busy
 /// time plus idle draw, i.e. `E = TDP · (u_avg + idle·(1−u_avg)) · t`
 /// with `u_avg` the workload's average achieved utilization.
@@ -324,37 +288,6 @@ mod tests {
         let gpu = estimate(&devices::gtx_1080ti(), &net, 3, 64).unwrap();
         let cpu = estimate(&devices::xeon_e2620(), &net, 3, 64).unwrap();
         assert!(gpu.fps() > cpu.fps());
-    }
-
-    #[test]
-    fn batching_improves_throughput_on_launch_bound_models() {
-        // A tiny workload on a discrete GPU is launch-overhead bound;
-        // batching amortizes the launches.
-        let d = devices::gtx_1080ti();
-        let w = Workload {
-            name: "tiny".into(),
-            layers: (0..20)
-                .map(|_| LayerWork {
-                    kind: "conv".into(),
-                    macs: 10_000,
-                    bytes_read: 40_000,
-                    bytes_written: 40_000,
-                })
-                .collect(),
-        };
-        let b1 = estimate_batched_fps(&d, &w, 1).unwrap();
-        let b32 = estimate_batched_fps(&d, &w, 32).unwrap();
-        assert!(b32 > 2.0 * b1, "batch32 {b32} vs batch1 {b1}");
-        assert!(estimate_batched_fps(&d, &w, 0).is_err());
-    }
-
-    #[test]
-    fn batch1_matches_plain_estimate() {
-        let d = devices::jetson_tx2_gpu();
-        let w = toy_work(1_000_000, 500_000);
-        let plain = 1.0 / estimate_workload(&d, &w).unwrap().total_seconds;
-        let batched = estimate_batched_fps(&d, &w, 1).unwrap();
-        assert!((plain - batched).abs() < 1e-9 * plain.abs());
     }
 
     #[test]

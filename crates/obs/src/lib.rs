@@ -893,9 +893,10 @@ fn check_metric(
 
 /// Compares a freshly produced `BENCH_kernels.json` against a
 /// committed baseline: every baseline GEMM row's `new_gflops` and
-/// every forward row's `measured_speedup` must stay within
-/// `tolerance` (relative) of the baseline. Rows present only in the
-/// current file are informational, never regressions.
+/// every forward row's `measured_speedup` (compacted over dense) and
+/// `masked_speedup` (masked over dense, the nets candidate scoring runs)
+/// must stay within `tolerance` (relative) of the baseline. Rows present
+/// only in the current file are informational, never regressions.
 pub fn bench_check(current: &Json, baseline: &Json, tolerance: f64) -> Vec<Regression> {
     let mut out = Vec::new();
     let cur_gemm: BTreeMap<i64, &Obj> = bench_rows(current, "gemm")
@@ -933,17 +934,19 @@ pub fn bench_check(current: &Json, baseline: &Json, tolerance: f64) -> Vec<Regre
         .collect();
     for row in bench_rows(baseline, "forward") {
         let Some(key) = fwd_key(row) else { continue };
-        let cur = cur_fwd
-            .get(&key)
-            .and_then(|r| r.get("measured_speedup"))
-            .and_then(Json::as_num);
-        check_metric(
-            format!("forward[{key}].measured_speedup"),
-            row.get("measured_speedup").and_then(Json::as_num),
-            cur,
-            tolerance,
-            &mut out,
-        );
+        for metric in ["measured_speedup", "masked_speedup"] {
+            let cur = cur_fwd
+                .get(&key)
+                .and_then(|r| r.get(metric))
+                .and_then(Json::as_num);
+            check_metric(
+                format!("forward[{key}].{metric}"),
+                row.get(metric).and_then(Json::as_num),
+                cur,
+                tolerance,
+                &mut out,
+            );
+        }
     }
     out
 }
@@ -1182,33 +1185,38 @@ mod tests {
         assert!(diff_metrics(&a, &a, 0.0).is_empty());
     }
 
-    fn bench_doc(gflops: f64, speedup: f64) -> Json {
+    fn bench_doc(gflops: f64, speedup: f64, masked: f64) -> Json {
         schema::parse(&format!(
             r#"{{"gemm":[{{"size":256,"new_gflops":{gflops},"speedup":2.0}}],
-                "forward":[{{"model":"vgg11","sp":2,"measured_speedup":{speedup}}}]}}"#
+                "forward":[{{"model":"vgg11","sp":2,"measured_speedup":{speedup},
+                             "masked_speedup":{masked}}}]}}"#
         ))
         .unwrap()
     }
 
     #[test]
     fn bench_check_flags_synthetic_regressions() {
-        let baseline = bench_doc(10.0, 1.8);
+        let baseline = bench_doc(10.0, 1.8, 1.6);
         // Identical results pass.
         assert!(bench_check(&baseline, &baseline, 0.3).is_empty());
         // A small wobble inside the tolerance passes.
-        assert!(bench_check(&bench_doc(9.0, 1.7), &baseline, 0.3).is_empty());
+        assert!(bench_check(&bench_doc(9.0, 1.7, 1.5), &baseline, 0.3).is_empty());
         // A synthetically regressed GFLOP/s rate is flagged.
-        let regressions = bench_check(&bench_doc(4.0, 1.8), &baseline, 0.3);
+        let regressions = bench_check(&bench_doc(4.0, 1.8, 1.6), &baseline, 0.3);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].what, "gemm[256].new_gflops");
         // So is a forward-speedup collapse.
-        let regressions = bench_check(&bench_doc(10.0, 0.9), &baseline, 0.3);
+        let regressions = bench_check(&bench_doc(10.0, 0.9, 1.6), &baseline, 0.3);
         assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].what.contains("measured_speedup"));
+        assert_eq!(regressions[0].what, "forward[vgg11@sp2].measured_speedup");
+        // And a masked net that lost its skipped multiply-adds.
+        let regressions = bench_check(&bench_doc(10.0, 1.8, 1.0), &baseline, 0.3);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].what, "forward[vgg11@sp2].masked_speedup");
         // A vanished row counts as a regression to zero.
         let empty = schema::parse("{}").unwrap();
         let regressions = bench_check(&empty, &baseline, 0.3);
-        assert_eq!(regressions.len(), 2);
+        assert_eq!(regressions.len(), 3);
         assert_eq!(regressions[0].current, 0.0);
     }
 

@@ -137,7 +137,9 @@ impl LayerStep {
 /// step (with its surgery), measures the inception accuracy, fine-tunes
 /// under `prepared`'s budget, measures again and costs the model, then
 /// hands `on_unit` the model and prune RNG as they stand, the unit's
-/// trace row and the maps it kept. Returns the final test accuracy.
+/// trace row and the maps it kept. Returns the final test accuracy: the
+/// last unit's fine-tuned accuracy, as nothing changes the model after
+/// it, or a fresh evaluation when no unit ran (a resume past the last).
 ///
 /// # Errors
 ///
@@ -154,6 +156,7 @@ pub(crate) fn prune_layers(
 ) -> Result<f32, RunnerError> {
     let ds = &prepared.ds;
     let ft = prepared.finetune();
+    let mut accuracy = None;
     for ordinal in start..net.conv_indices().len() {
         let conv_node = net.conv_indices()[ordinal];
         let maps_before = net.conv(conv_node)?.out_channels();
@@ -173,6 +176,10 @@ pub(crate) fn prune_layers(
             finetuned_accuracy,
         };
         on_unit(net, rng, trace, keep)?;
+        accuracy = Some(finetuned_accuracy);
     }
-    Ok(train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?)
+    match accuracy {
+        Some(accuracy) => Ok(accuracy),
+        None => Ok(train::evaluate(net, &ds.test_images, &ds.test_labels, 64)?),
+    }
 }

@@ -11,17 +11,18 @@
 //! samples as their `[C·kh·kw, g·oh·ow]` patch matrix (`g = 1` is the
 //! per-sample layout), and [`crate::gemm_patches`] reads it, or its
 //! transpose, straight from the image into the GEMM's packed panels
-//! (implicit GEMM, as in cuDNN). [`col2im_into`], the adjoint, scatters a
-//! patch-matrix gradient back onto a caller-owned buffer — typically
-//! scratch from [`crate::workspace`] — and parallelizes over
-//! `(sample, channel)` planes on the persistent [`crate::pool`] for large
-//! inputs. Each task owns one plane, so results are bit-identical for
-//! every thread count. [`im2col`] still materializes one sample's patch
-//! matrix, element by element, as the reference the tests compare
-//! against.
+//! (implicit GEMM, as in cuDNN), or, when each panel is a run of one
+//! output row, in place from a zero-padded copy of the image.
+//! [`col2im_into`], the adjoint, scatters a patch-matrix gradient back
+//! onto a caller-owned buffer — typically scratch from
+//! [`crate::workspace`] — and parallelizes over `(sample, channel)`
+//! planes on the persistent [`crate::pool`] for large inputs. Each task
+//! owns one plane, so results are bit-identical for every thread count.
+//! [`im2col`] still materializes one sample's patch matrix, element by
+//! element, as the reference the tests compare against.
 
 use crate::error::TensorError;
-use crate::matmul::GROUP_ELEMS;
+use crate::matmul::{GROUP_ELEMS, NR};
 use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
@@ -164,7 +165,8 @@ impl Conv2dGeometry {
 /// `s` fills columns `s·oh·ow..(s+1)·oh·ow`, or, for a
 /// [`Patches::position_major`] view, position `q` fills columns
 /// `q·samples..(q+1)·samples`. The GEMM reads it (or its transpose)
-/// straight into its packed panels through [`crate::gemm_patches`].
+/// straight into its packed panels, or in place from a zero-padded copy,
+/// through [`crate::gemm_patches`].
 #[derive(Debug, Clone, Copy)]
 pub struct Patches<'a> {
     pub(crate) input: &'a [f32],
@@ -227,6 +229,45 @@ impl<'a> Patches<'a> {
             let mut planes = (0..self.samples).map(|s| &self.input[s * len + c * plane..][..plane]);
             if planes.any(|p| p.iter().any(|&v| v != 0.0)) {
                 live.push(c as u32);
+            }
+        }
+    }
+
+    /// True when a GEMM panel of `NR` columns is `NR` consecutive
+    /// positions of one output row: stride 1, sample-major, and output
+    /// rows a whole number of panels. Such panels are read in place from
+    /// [`Patches::pad_into`]'s copy instead of being packed.
+    pub(crate) fn rows_of_panels(&self) -> bool {
+        self.geom.stride == 1 && !self.position_major && self.geom.out_w().is_multiple_of(NR)
+    }
+
+    /// The padded image's row length `W + 2p` and plane `(H + 2p)(W + 2p)`.
+    pub(crate) fn padded_plane(&self) -> (usize, usize) {
+        let (g, pad) = (&self.geom, 2 * self.geom.padding);
+        (g.in_w + pad, (g.in_h + pad) * (g.in_w + pad))
+    }
+
+    /// Copies channels `channels` of every sample into `padded`, the
+    /// `[samples, C, H + 2p, W + 2p]` image with zero borders; the other
+    /// channels' planes are left as they were.
+    pub(crate) fn pad_into(&self, padded: &mut [f32], channels: &[u32]) {
+        let g = &self.geom;
+        let (pad, plane) = (g.padding, g.in_h * g.in_w);
+        let (row, padded_plane) = self.padded_plane();
+        for s in 0..self.samples {
+            for &c in channels {
+                let i = s * g.in_channels + c as usize;
+                let dst = &mut padded[i * padded_plane..][..padded_plane];
+                let (top, rest) = dst.split_at_mut(pad * row);
+                let (image, bottom) = rest.split_at_mut(g.in_h * row);
+                top.fill(0.0);
+                bottom.fill(0.0);
+                let src = &self.input[i * plane..][..plane];
+                for (y, dst) in image.chunks_exact_mut(row).enumerate() {
+                    dst[..pad].fill(0.0);
+                    dst[pad..pad + g.in_w].copy_from_slice(&src[y * g.in_w..][..g.in_w]);
+                    dst[pad + g.in_w..].fill(0.0);
+                }
             }
         }
     }

@@ -5,8 +5,11 @@
 //! a contiguous row-major N-dimensional tensor with the kernels deep
 //! learning needs — elementwise arithmetic, reductions, a blocked
 //! multi-threaded matrix multiply that reads a convolution's patches
-//! straight from the image (and `col2im` for its input gradient) — plus a deterministic, seedable random number generator so
-//! every experiment in the repository is reproducible bit-for-bit.
+//! straight from the image, packing them or, for stride-1 rows of
+//! output, reading them in place from a zero-padded copy (and `col2im`
+//! for its input gradient) — plus a deterministic, seedable random
+//! number generator so every experiment in the repository is
+//! reproducible bit-for-bit.
 //!
 //! # Example
 //!

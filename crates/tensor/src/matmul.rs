@@ -13,19 +13,23 @@
 //!
 //! B is either a dense matrix ([`gemm_ex`]) or a convolution's patch
 //! matrix read straight from the image ([`gemm_patches`], the implicit
-//! GEMM of cuDNN): the packer writes each panel from the `[g, C, H, W]`
-//! input, and the naive loop reads the same packed panels, so the
-//! `[C·k·k, g·oh·ow]` matrix is never built. Either way every packed
-//! float lands in the same panel slot with the same value, and the
-//! microkernel cannot tell the two apart.
+//! GEMM of cuDNN), so the `[C·k·k, g·oh·ow]` matrix is never built: the
+//! packer writes each panel from the `[g, C, H, W]` input, and the naive
+//! loop reads the same packed panels. A blocked stride-1 forward product
+//! whose output rows are whole panels packs nothing: each panel is `NR`
+//! consecutive positions of one output row, so its cell at depth
+//! `(c, ky, kx)` is `NR` consecutive floats of a zero-padded copy of the
+//! group, read in place. Either way every cell holds the same values in
+//! the same lanes.
 //!
-//! The microkernel walks a depth table rather than a depth range: a
-//! whole block's table is `0, s, 2s, …`, and a forward patch panel may
-//! leave out the depths it knows are zero (taps that read only padding,
-//! channels zero across the group) and pack only its live cells, with a
-//! table listing their depths. The `KC` blocks keep their boundaries and
-//! every surviving product its place in the sum, so the bits do not
-//! change.
+//! The microkernel walks a table of steps rather than a depth range: step
+//! `[a, b]` reads A at depth offset `a` and B's cell at offset `b`. A
+//! whole packed block's table is `[0, 0], [s, NR], [2s, 2·NR], …`; a
+//! forward patch panel leaves out the depths it knows are zero (taps that
+//! read only padding, channels zero across the group), and a panel read
+//! in place steps through the padded image. The `KC` blocks keep their
+//! boundaries and every surviving product its place in the sum, so the
+//! bits do not change.
 //!
 //! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled through the
 //! strip addressing and the B packing, so backpropagation never
@@ -50,6 +54,7 @@ use crate::tensor::Tensor;
 use crate::workspace::{with_scratch, with_vec};
 use crate::Conv2dGeometry;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Problems smaller than this many multiply-accumulates stay single
 /// threaded; pool dispatch overhead dominates below it.
@@ -178,56 +183,156 @@ impl<'a> Strip<'a> {
     }
 }
 
-/// A microkernel: `acc[MR×NR] += strip · panel` over a depth table. Step
-/// `j` multiplies lane `r`'s `a[rows[r] + offs[j]]` by the panel's cell
-/// `j`, `NR` floats at `j·NR`. A table is pre-multiplied by the strip's
-/// depth stride: a dense block passes `0, stride, 2·stride, …`, and a
-/// compacted one only the depths its panel keeps.
+/// A microkernel: `acc[MR×NR] += strip · panel` over a table of steps.
+/// Step `[a, b]` multiplies lane `r`'s `a[rows[r] + a]` by the `NR`
+/// floats of B at `b[b..]`; A-offsets are pre-multiplied by the strip's
+/// depth stride. A whole packed block passes `[0, 0], [s, NR],
+/// [2s, 2·NR], …`, a compacted one only the depths its panel keeps, and
+/// a panel read in place the offsets of its cells in the padded image.
+/// `packed` says the B-offsets step by `NR` from the first, as a packed
+/// block's do, so the kernel may walk the cells instead of reading them.
 ///
 /// # Safety
 ///
-/// `offs` must ascend: the AVX2 kernel bounds its unchecked loads by the
-/// table's last entry alone.
-type Kernel = unsafe fn(&Strip<'_>, &[u32], &[f32], &mut [f32; MR * NR]);
+/// Both columns of `steps` must ascend, and with `packed` the B-offsets
+/// must step by `NR`: the AVX2 kernel bounds its unchecked loads by the
+/// table's last step alone.
+type Kernel = unsafe fn(&Strip<'_>, &[[u32; 2]], &[f32], bool, &mut [f32; MR * NR]);
 
-/// A column block of B packed for the microkernel: panel `pj`'s `KC`
-/// block at depth `pc` starts at cell `pj·k + pc` of `cells` (a cell is
-/// `NR` floats, one depth). When the packer left depths out, `tables`
-/// starts with one entry per (panel, `KC` block): 0 for a block packed
-/// whole, else the index `t` of its table, which holds the block's live
-/// count at `tables[t]` and then the depth offset from `pc` of each live
-/// cell, in the order the cells sit from the block's first. Without
-/// tables every block is whole.
-struct Packed<'a> {
-    cells: &'a [f32],
-    tables: &'a [u32],
+/// One panel's walk over one `KC` block: steps `start..end` of the call's
+/// table, with B-offsets counted from `cells[base]`.
+#[derive(Clone, Copy)]
+struct Block {
+    start: usize,
+    end: usize,
+    base: usize,
 }
 
-impl Packed<'_> {
-    /// The depth table and cells of panel `pj`'s `kc`-deep block at `pc`
-    /// of a `k`-deep product; `dense` is the table of a whole block.
-    fn block<'t>(
-        &'t self,
-        pj: usize,
-        pc: usize,
-        kc: usize,
-        k: usize,
-        dense: &'t [u32; KC],
-    ) -> (&'t [u32], &'t [f32]) {
-        let offs = match self.tables.get(pj * k.div_ceil(KC) + pc / KC) {
-            Some(&t) if t != 0 => {
-                let t = t as usize;
-                &self.tables[t + 1..][..self.tables[t] as usize]
-            }
-            _ => &dense[..kc],
-        };
-        (offs, &self.cells[(pj * k + pc) * NR..][..offs.len() * NR])
+/// A column block of B laid out for the microkernel. `cells` holds packed
+/// panels, panel `pj`'s cell at depth `p` (`NR` floats, one depth) at
+/// `(pj·k + p)·NR`, or, `in_place`, the group's zero-padded image.
+/// `steps` starts with the `KC` steps of a whole packed block,
+/// `[p·s, p·NR]`. For a forward patch product `blocks` holds one
+/// [`Block`] per (panel, `KC` block), in panel order; otherwise it is
+/// empty and every block is whole and packed.
+struct Layout<'a> {
+    in_place: bool,
+    cells: &'a [f32],
+    blocks: &'a [Block],
+    steps: &'a [[u32; 2]],
+}
+
+impl Layout<'_> {
+    /// The steps and B cells of panel `pj`'s `kc`-deep block at `pc` of a
+    /// `k`-deep product.
+    fn block(&self, pj: usize, pc: usize, kc: usize, k: usize) -> (&[[u32; 2]], &[f32]) {
+        match self.blocks.get(pj * k.div_ceil(KC) + pc / KC) {
+            Some(b) => (&self.steps[b.start..b.end], &self.cells[b.base..]),
+            None => (&self.steps[..kc], &self.cells[(pj * k + pc) * NR..]),
+        }
+    }
+}
+
+/// A call's [`Layout::blocks`] and [`Layout::steps`] under construction.
+struct Tables<'t> {
+    blocks: &'t mut Vec<Block>,
+    steps: &'t mut Vec<[u32; 2]>,
+}
+
+impl Tables<'_> {
+    /// Opens the next `depth`-deep panel with the steps of a whole packed
+    /// block in every block, block `b` reading B from `base(b)`.
+    fn whole(&mut self, depth: usize, base: impl Fn(usize) -> usize) {
+        self.blocks.extend((0..depth.div_ceil(KC)).map(|b| Block {
+            start: 0,
+            end: KC.min(depth - b * KC),
+            base: base(b),
+        }));
+    }
+
+    /// Opens the next `depth`-deep panel with room for `live` steps, every
+    /// block reading B from `base`; the steps are written through the
+    /// returned [`PanelSteps`].
+    fn open(&mut self, depth: usize, live: usize, base: usize) -> PanelSteps<'_> {
+        let (first, start) = (self.blocks.len(), self.steps.len());
+        self.blocks.extend((0..depth.div_ceil(KC)).map(|_| Block {
+            start: 0,
+            end: 0,
+            base,
+        }));
+        self.steps.resize(start + live, [0; 2]);
+        PanelSteps {
+            blocks: &mut self.blocks[first..],
+            steps: &mut self.steps[start..],
+            start,
+            block: usize::MAX,
+            len: 0,
+        }
+    }
+
+    /// Opens the next panel with the steps of the panel whose first block
+    /// is `first`, reading B from `base`.
+    fn repeat(&mut self, first: usize, depth: usize, base: usize) {
+        let at = self.blocks.len();
+        self.blocks
+            .extend_from_within(first..first + depth.div_ceil(KC));
+        for block in &mut self.blocks[at..] {
+            block.base = base;
+        }
+    }
+}
+
+/// One panel's steps under construction, written in ascending depth
+/// order into the room [`Tables::open`] made.
+struct PanelSteps<'p> {
+    blocks: &'p mut [Block],
+    steps: &'p mut [[u32; 2]],
+    /// Where `steps` starts in the call's table.
+    start: usize,
+    /// The block being written.
+    block: usize,
+    len: usize,
+}
+
+impl PanelSteps<'_> {
+    /// The steps written so far.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Writes the step of depth `d`, its B cell at `off` from the base.
+    #[inline(always)]
+    fn push(&mut self, d: usize, off: usize) {
+        if d / KC != self.block {
+            self.close();
+            self.block = d / KC;
+            self.blocks[self.block].start = self.start + self.len;
+        }
+        self.steps[self.len] = [(d % KC) as u32, off as u32];
+        self.len += 1;
+    }
+
+    /// Ends the block being written at the last step written.
+    fn close(&mut self) {
+        if let Some(block) = self.blocks.get_mut(self.block) {
+            block.end = self.start + self.len;
+        }
+    }
+}
+
+/// A panel's last block ends when its writer goes out of scope, so no
+/// caller can leave it open; a block is closed once, not on every step.
+impl Drop for PanelSteps<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
 thread_local! {
-    /// The calling thread's [`Packed::tables`].
-    static TABLES: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+    /// The calling thread's [`Layout::blocks`].
+    static BLOCKS: Cell<Vec<Block>> = const { Cell::new(Vec::new()) };
+    /// The calling thread's [`Layout::steps`].
+    static STEPS: Cell<Vec<[u32; 2]>> = const { Cell::new(Vec::new()) };
     /// The channels of a patch group that hold a nonzero value.
     static LIVE_CHANNELS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
     /// The taps of a panel that some lane reads inside the image.
@@ -418,16 +523,16 @@ impl PanelLanes {
 ///
 /// With `tables`, a panel also leaves out the depths it knows read only
 /// zeros: the taps no lane reads inside the image, and the channels that
-/// are zero in every sample of the group. Each `KC` block keeps its live
-/// cells in depth order from its first cell and gets a depth table (see
-/// [`Packed`]). A panel with no such depth is packed whole, as without
+/// are zero in every sample of the group. Its live cells are packed in
+/// depth order from its first cell, and every panel gets its blocks (see
+/// [`Layout`]); a panel with no such depth is packed whole, as without
 /// tables. Returns the left-out depths summed over the panels' lanes.
 fn pack_patches(
     bp: &mut [f32],
     patches: &Patches<'_>,
     jc: usize,
     nc: usize,
-    tables: Option<&mut Vec<u32>>,
+    tables: Option<&mut Tables<'_>>,
 ) -> usize {
     let g = &patches.geom;
     let (k, depth) = (g.kernel, patches.rows());
@@ -444,16 +549,12 @@ fn pack_patches(
         }
         return 0;
     };
-    // One header entry per (panel, block), then a shared empty table that
-    // every block of a left-out panel starts from.
-    let blocks = depth.div_ceil(KC);
-    tables.resize(panels * blocks, 0);
-    let empty = tables.len() as u32;
-    tables.push(0);
-    if plane == 0 {
-        tables[..panels * blocks].fill(empty);
-        return nc * depth;
-    }
+    // A compacted panel's B-offsets, `w·NR` for its `w`th live cell, must
+    // fit the steps' `u32`.
+    assert!(
+        depth * NR <= u32::MAX as usize,
+        "gemm_patches: patch matrix too deep"
+    );
     with_vec(&LIVE_CHANNELS, |channels| {
         patches.live_channels(channels);
         let all_channels = channels.len() == g.in_channels;
@@ -462,8 +563,10 @@ fn pack_patches(
             for (pj, jr) in (0..nc).step_by(NR).enumerate() {
                 let panel = &mut bp[pj * depth * NR..(pj + 1) * depth * NR];
                 let lanes = PanelLanes::new(patches, jc + jr, NR.min(nc - jr));
+                let base = |b: usize| (pj * depth + b * KC) * NR;
                 if all_channels && lanes.has_inner_window(g) {
                     lanes.pack_whole(panel, patches);
+                    tables.whole(depth, base);
                     continue;
                 }
                 live_taps.clear();
@@ -474,42 +577,85 @@ fn pack_patches(
                 }
                 if all_channels && live_taps.len() == taps {
                     lanes.pack_whole(panel, patches);
+                    tables.whole(depth, base);
                     continue;
                 }
-                // Room for a count per block and a depth per live cell.
-                let start = tables.len();
+                // The live cells, in depth order from the panel's first.
                 let live = channels.len() * live_taps.len();
-                tables.resize(start + blocks + live, 0);
-                let (header, region) = tables.split_at_mut(start);
-                let header = &mut header[pj * blocks..(pj + 1) * blocks];
-                header.fill(empty);
-                // `at` is the block's count entry in `region`, `j` its cells.
-                let (mut block, mut at, mut j, mut w) = (usize::MAX, 0, 0, 0);
+                let mut steps = tables.open(depth, live, pj * depth * NR);
                 for &c in channels.iter() {
                     let image = &patches.input[c as usize * plane..];
                     for tap in live_taps.iter() {
-                        let d = c as usize * taps + tap.tap;
-                        if d / KC != block {
-                            region[at] = j as u32;
-                            (block, at, j) = (d / KC, w, 0);
-                            header[block] = (start + w) as u32;
-                            w += 1;
-                        }
-                        region[w] = (d - block * KC) as u32;
-                        tap.fill(&mut panel[(block * KC + j) * NR..][..NR], image);
-                        (j, w) = (j + 1, w + 1);
+                        let w = steps.len();
+                        tap.fill(&mut panel[w * NR..][..NR], image);
+                        steps.push(c as usize * taps + tap.tap, w * NR);
                     }
                 }
-                region[at] = j as u32;
-                tables.truncate(start + w);
                 skipped += (depth - live) * lanes.lanes;
-            }
-            if skipped == 0 {
-                // Every panel is whole: no tables to read.
-                tables.clear();
             }
             skipped
         })
+    })
+}
+
+/// Lays out a blocked forward product whose panels are rows of output
+/// positions ([`Patches::rows_of_panels`]) to be read in place: copies
+/// the group's live channels into `padded`, the zero-padded
+/// `[g, C, H + 2p, W + 2p]` image, and gives each panel the steps of its
+/// live depths. Panel `(s, oy, ox)` reads depth `(c, ky, kx)` at
+/// `c·(H + 2p)(W + 2p) + ky·(W + 2p) + kx` from its window's corner,
+/// `NR` consecutive floats. It leaves out what [`pack_patches`] leaves
+/// out: the channels zero in every sample of the group, and the taps
+/// whose row is padding or whose column is padding in every lane, so
+/// the live taps are a rectangle. Consecutive panels with the same
+/// rectangle share their steps. Returns the left-out depths summed over
+/// the panels' lanes.
+fn read_in_place(padded: &mut [f32], patches: &Patches<'_>, tables: &mut Tables<'_>) -> usize {
+    let g = &patches.geom;
+    let (k, pad, depth) = (g.kernel, g.padding, patches.rows());
+    let (row, plane) = patches.padded_plane();
+    assert!(
+        g.in_channels * plane <= u32::MAX as usize,
+        "gemm_patches: image too large"
+    );
+    with_vec(&LIVE_CHANNELS, |channels| {
+        patches.live_channels(channels);
+        patches.pad_into(padded, channels);
+        let mut skipped = 0;
+        // The last panel's live rows and columns of taps, and first block.
+        let mut last: Option<(Range<usize>, Range<usize>, usize)> = None;
+        for s in 0..patches.samples {
+            for oy in 0..g.out_h() {
+                let rows = pad.saturating_sub(oy)..(pad + g.in_h).saturating_sub(oy).min(k);
+                for ox in (0..g.out_w()).step_by(NR) {
+                    let cols =
+                        pad.saturating_sub(ox + NR - 1)..(pad + g.in_w).saturating_sub(ox).min(k);
+                    let base = s * g.in_channels * plane + oy * row + ox;
+                    let live = channels.len() * rows.len() * cols.len();
+                    let first = tables.blocks.len();
+                    match &last {
+                        Some((r, c, last)) if (r, c) == (&rows, &cols) => {
+                            tables.repeat(*last, depth, base)
+                        }
+                        _ => {
+                            let mut steps = tables.open(depth, live, base);
+                            for &c in channels.iter() {
+                                let c = c as usize;
+                                for ky in rows.clone() {
+                                    for kx in cols.clone() {
+                                        let d = (c * k + ky) * k + kx;
+                                        steps.push(d, c * plane + ky * row + kx);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    skipped += (depth - live) * NR;
+                    last = Some((rows.clone(), cols, first));
+                }
+            }
+        }
+        skipped
     })
 }
 
@@ -543,13 +689,21 @@ fn pack_patches_t(bp: &mut [f32], patches: &Patches<'_>, jc: usize, nc: usize) {
     });
 }
 
-/// The portable register-tiled core. The panel is unit stride and the
-/// accumulator stays in registers; A costs one table-offset scalar load
-/// per lane and depth step.
-fn microkernel_portable(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    for (&off, b_cell) in offs.iter().zip(bp.chunks_exact(NR)) {
+/// The portable register-tiled core. The accumulator stays in registers;
+/// each step costs one table-offset scalar load per lane of A and one
+/// bounds-checked `NR`-float cell of B, read through its offset whether
+/// or not the block is `packed`.
+fn microkernel_portable(
+    s: &Strip<'_>,
+    steps: &[[u32; 2]],
+    b: &[f32],
+    _packed: bool,
+    acc: &mut [f32; MR * NR],
+) {
+    for &[a_off, b_off] in steps {
+        let b_cell = &b[b_off as usize..][..NR];
         for r in 0..MR {
-            let a_rp = s.a[s.rows[r] + off as usize];
+            let a_rp = s.a[s.rows[r] + a_off as usize];
             let row = &mut acc[r * NR..r * NR + NR];
             for c in 0..NR {
                 row[c] += a_rp * b_cell[c];
@@ -560,38 +714,55 @@ fn microkernel_portable(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32;
 
 /// AVX2+FMA microkernel, selected at runtime when the CPU supports it.
 /// Holds the whole `MR`×`NR` accumulator in eight YMM registers; each
-/// depth step is one packed-B load plus `MR` broadcast-FMAs from the
-/// strip's rows, so the hot loop streams the B panel and `MR` rows of A.
+/// step is one B-cell load plus `MR` broadcast-FMAs from the strip's
+/// rows, so the hot loop streams the B cells and `MR` rows of A.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Strip, MR, NR};
 
-    // The single packed-B load per depth step assumes one YMM register
-    // spans the full panel width.
+    // The single B-cell load per step assumes one YMM register spans the
+    // full panel width.
     const _: () = assert!(MR == 8 && NR == 8);
 
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 and FMA (see
-    /// [`available`]), that `bp` holds at least `offs.len() * 8`
-    /// elements, and that `offs` ascends with its last entry at most
-    /// [`Strip::reach`]. The strip's loads `s.a[s.rows[r] + offs[j]]` are
-    /// unchecked: they stay in bounds because [`Strip::new`] asserts the
-    /// largest reachable one, `rows[MR - 1] + (kc - 1) * stride`, is below
-    /// `s.a.len()`, and no entry exceeds the table's last.
+    /// [`available`]) and keep [`super::Kernel`]'s contract, with the
+    /// last step's A-offset at most [`Strip::reach`] and its B-offset at
+    /// most `b.len() - NR`. The loads `s.a[s.rows[r] + a]` and
+    /// `b[b..b + NR]` are unchecked: they stay in bounds because
+    /// [`Strip::new`] asserts the largest reachable A read,
+    /// `rows[MR - 1] + (kc - 1) * stride`, is below `s.a.len()`, and no
+    /// step's offsets exceed the last step's. A `PACKED` walk reads the
+    /// cells at the first B-offset plus `j·NR`, which the contract makes
+    /// the steps' own B-offsets.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn fma_kernel(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    unsafe fn fma_kernel<const PACKED: bool>(
+        s: &Strip<'_>,
+        steps: &[[u32; 2]],
+        b: &[f32],
+        acc: &mut [f32; MR * NR],
+    ) {
         use std::arch::x86_64::*;
         let mut rows = [_mm256_setzero_ps(); MR];
         let a_rows = s.rows.map(|o| s.a.as_ptr().add(o));
-        let mut b_ptr = bp.as_ptr();
-        for &off in offs {
-            let b_vec = _mm256_loadu_ps(b_ptr);
+        // A packed block's cells follow its first one: walk them rather
+        // than read each step's B-offset.
+        let mut cell = b
+            .as_ptr()
+            .add(steps.first().map_or(0, |&[_, o]| o as usize));
+        for &[a_off, b_off] in steps {
+            let b_vec = if PACKED {
+                let cell_vec = _mm256_loadu_ps(cell);
+                cell = cell.add(NR);
+                cell_vec
+            } else {
+                _mm256_loadu_ps(b.as_ptr().add(b_off as usize))
+            };
             for (row, a_row) in rows.iter_mut().zip(&a_rows) {
-                let a_rp = _mm256_broadcast_ss(&*a_row.add(off as usize));
+                let a_rp = _mm256_broadcast_ss(&*a_row.add(a_off as usize));
                 *row = _mm256_fmadd_ps(a_rp, b_vec, *row);
             }
-            b_ptr = b_ptr.add(NR);
         }
         for (r, row) in rows.iter().enumerate() {
             let sum = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(r * NR)), *row);
@@ -599,20 +770,35 @@ mod x86 {
         }
     }
 
-    /// The AVX2+FMA kernel. Checks the table's last entry only: checking
-    /// each entry on each call would cost the kernel its speed.
+    /// The AVX2+FMA kernel. Checks the table's last step only, once per
+    /// panel: checking each step would cost the kernel its speed.
     ///
     /// # Safety
     ///
-    /// `offs` must ascend, as [`super::Kernel`] requires.
-    pub unsafe fn microkernel(s: &Strip<'_>, offs: &[u32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-        let last = offs.last().map_or(0, |&off| off as usize);
-        assert!(available() && bp.len() >= offs.len() * NR && last <= s.reach());
-        debug_assert!(offs.is_sorted());
-        // SAFETY: features, panel length and the table's last entry are
-        // checked above, and the caller guarantees that entry is the
-        // largest; the strip's reads are bounded by `Strip::new`.
-        unsafe { fma_kernel(s, offs, bp, acc) }
+    /// The caller must keep [`super::Kernel`]'s contract.
+    pub unsafe fn microkernel(
+        s: &Strip<'_>,
+        steps: &[[u32; 2]],
+        b: &[f32],
+        packed: bool,
+        acc: &mut [f32; MR * NR],
+    ) {
+        let in_bounds = steps
+            .last()
+            .is_none_or(|&[a, o]| a as usize <= s.reach() && o as usize + NR <= b.len());
+        assert!(available() && in_bounds);
+        debug_assert!(steps.is_sorted_by_key(|&[a, _]| a) && steps.is_sorted_by_key(|&[_, o]| o));
+        debug_assert!(!packed || steps.windows(2).all(|w| w[1][1] == w[0][1] + NR as u32));
+        // SAFETY: features and the last step's offsets are checked above,
+        // and the caller guarantees that step is the largest in both
+        // columns; the strip's reads are bounded by `Strip::new`.
+        unsafe {
+            if packed {
+                fma_kernel::<true>(s, steps, b, acc)
+            } else {
+                fma_kernel::<false>(s, steps, b, acc)
+            }
+        }
     }
 
     /// True when the running CPU has AVX2 and FMA (cached by std).
@@ -633,17 +819,16 @@ fn best_kernel() -> Kernel {
 }
 
 /// Multiplies one row block of the output (`out_block`: full `n`-wide rows
-/// from row `ic`) by packed columns `jc..jc + nc` of B. Walks the `KC`
-/// blocks in order and sweeps the microkernel over every (strip, panel)
-/// pair of each, through the panel block's depth table (`dense` for a
-/// whole block), adding valid regions into `out_block`.
+/// from row `ic`) by columns `jc..jc + nc` of B as laid out in `bp`.
+/// Walks the `KC` blocks in order and sweeps the microkernel over every
+/// (strip, panel) pair of each, through the panel block's steps, adding
+/// valid regions into `out_block`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     kernel: Kernel,
     out_block: &mut [f32],
     a: &[f32],
-    bp: &Packed<'_>,
-    dense: &[u32; KC],
+    bp: &Layout<'_>,
     m: usize,
     k: usize,
     n: usize,
@@ -659,12 +844,16 @@ fn gemm_block(
             let a_strip = Strip::new(a, m, k, ic + strip, pc, kc, trans_a);
             let rows = MR.min(mc - strip);
             for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-                let (offs, bp_panel) = bp.block(pj, pc, kc, k, dense);
+                let (steps, b) = bp.block(pj, pc, kc, k);
                 let cols = NR.min(nc - jr);
                 let mut acc = [0.0f32; MR * NR];
-                // SAFETY: every table ascends: `dense` is `0, s, 2s, …`,
-                // and `pack_patches` lists a block's live depths in order.
-                unsafe { kernel(&a_strip, offs, bp_panel, &mut acc) };
+                // SAFETY: both columns of every table ascend: a whole
+                // packed block's are `p·s` and `p·NR`, a compacted block
+                // lists its live depths in order with its consecutive
+                // cells, and a panel read in place steps through the
+                // padded image in depth order. Packed blocks' B-offsets
+                // step by `NR`, as `packed` promises the kernel.
+                unsafe { kernel(&a_strip, steps, b, !bp.in_place, &mut acc) };
                 for r in 0..rows {
                     let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
                     let src = &acc[r * NR..r * NR + cols];
@@ -729,7 +918,10 @@ pub fn gemm_ex(
 /// only as padding or from channels that are zero in every sample, and
 /// counts them in `hs_tensor_gemm_skipped_flops_total`; skipping a zero
 /// product changes no bits, but a non-finite weight no longer turns the
-/// outputs it would have multiplied by those zeros into NaN.
+/// outputs it would have multiplied by those zeros into NaN. When its
+/// panels are rows of output positions (stride 1, sample-major, output
+/// width a multiple of [`NR`]), it packs nothing and reads them in place
+/// from a zero-padded copy of the image.
 ///
 /// # Panics
 ///
@@ -817,48 +1009,80 @@ fn gemm_with(
     } else {
         m.div_ceil(MR) * MR
     };
-    let block_cols = (KC * NC / k / NR * NR).max(NR);
-    // The table of a whole block. A patch product's compacted tables hold
-    // bare depths, so it must read A at depth stride 1.
+    // A patch product's compacted tables hold bare depths, so it must
+    // read A at depth stride 1.
     let stride = if trans_a { m } else { 1 };
     assert!(stride == 1 || matches!(b, Rhs::Dense(_)));
     assert!(
         (KC - 1) * stride <= u32::MAX as usize,
         "gemm_ex: A too tall"
     );
-    let dense: [u32; KC] = std::array::from_fn(|p| (p * stride) as u32);
+    // Multiplies columns `jc..jc + nc` of B, laid out in `bp`, on the
+    // pool: one task per row block of the output.
+    let mut multiply = |bp: &Layout<'_>, jc: usize, nc: usize| {
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+            .chunks_mut(block_rows * n)
+            .enumerate()
+            .map(|(bi, out_block)| {
+                let ic = bi * block_rows;
+                Box::new(move || {
+                    gemm_block(kernel, out_block, a, bp, m, k, n, ic, jc, nc, trans_a);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool::run_tasks(tasks);
+    };
     let mut skipped = 0;
-    with_vec(&TABLES, |tables| {
-        for jc in (0..n).step_by(block_cols) {
-            let nc = block_cols.min(n - jc);
-            with_scratch(nc.div_ceil(NR) * NR * k, |bp| {
-                tables.clear();
-                skipped += match b {
-                    Rhs::Patches(patches) if !trans_b => {
-                        pack_patches(bp, &patches, jc, nc, Some(tables))
-                    }
-                    _ => {
-                        pack_b(bp, b, k, n, jc, nc, trans_b);
-                        0
-                    }
-                };
-                let packed = Packed { cells: bp, tables };
-                let (bp, dense) = (&packed, &dense);
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                    .chunks_mut(block_rows * n)
-                    .enumerate()
-                    .map(|(bi, out_block)| {
-                        let ic = bi * block_rows;
-                        Box::new(move || {
-                            gemm_block(
-                                kernel, out_block, a, bp, dense, m, k, n, ic, jc, nc, trans_a,
-                            );
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool::run_tasks(tasks);
-            });
-        }
+    with_vec(&BLOCKS, |blocks| {
+        with_vec(&STEPS, |steps| {
+            // The steps of a whole packed block.
+            steps.extend((0..KC).map(|p| [(p * stride) as u32, (p * NR) as u32]));
+            if let Rhs::Patches(patches) = b {
+                if !trans_b && patches.rows_of_panels() {
+                    let len = patches.samples * patches.geom.in_channels * patches.padded_plane().1;
+                    return with_scratch(len, |padded| {
+                        skipped = read_in_place(padded, &patches, &mut Tables { blocks, steps });
+                        multiply(
+                            &Layout {
+                                in_place: true,
+                                cells: padded,
+                                blocks,
+                                steps,
+                            },
+                            0,
+                            n,
+                        );
+                    });
+                }
+            }
+            let block_cols = (KC * NC / k / NR * NR).max(NR);
+            for jc in (0..n).step_by(block_cols) {
+                let nc = block_cols.min(n - jc);
+                with_scratch(nc.div_ceil(NR) * NR * k, |bp| {
+                    blocks.clear();
+                    steps.truncate(KC);
+                    skipped += match b {
+                        Rhs::Patches(patches) if !trans_b => {
+                            pack_patches(bp, &patches, jc, nc, Some(&mut Tables { blocks, steps }))
+                        }
+                        _ => {
+                            pack_b(bp, b, k, n, jc, nc, trans_b);
+                            0
+                        }
+                    };
+                    multiply(
+                        &Layout {
+                            in_place: false,
+                            cells: bp,
+                            blocks,
+                            steps,
+                        },
+                        jc,
+                        nc,
+                    );
+                });
+            }
+        })
     });
     if skipped > 0 {
         telem::gemm_skipped_flops().add(2 * (m * skipped) as u64);
@@ -1202,9 +1426,9 @@ mod tests {
     /// tests: k = 1, 3, 5 and 11 at strides 1, 2 and 4 and padding 0 to
     /// 2 on H ≠ W inputs, then 1×1 and 2×2 maps at padding 1 with
     /// C·k·k > `KC` and oh·ow < `NR`, groups of 7 and 33 samples, an
-    /// empty image that is all padding, and a patch matrix larger than
+    /// empty image that is all padding, a patch matrix larger than
     /// `KC`×`NC` floats, which packs in two column blocks either way
-    /// round.
+    /// round, and the [`row_geometries`].
     fn patch_geometries() -> Vec<(usize, usize, usize, usize, usize, usize, usize)> {
         let mut grid = Vec::new();
         for k in [1, 3, 5, 11] {
@@ -1221,14 +1445,38 @@ mod tests {
             (2, 0, 3, 3, 1, 2, 3),
             (16, 64, 64, 3, 1, 1, 1),
         ]);
+        grid.extend(row_geometries());
         grid
+    }
+
+    /// Stride-1 "same" convs with output rows of 7, 8, 12, 16 and 32
+    /// positions, whose blocked forward panels are read in place (8, 16,
+    /// 32) or packed (7, 12): AlexNet's first conv (C = 3, k = 5, p = 2)
+    /// on 6 rows, two of them border rows at each edge, and a 3×3 conv of
+    /// 16 channels on 5 rows, in groups of 1, 3 and 32 samples.
+    fn row_geometries() -> Vec<(usize, usize, usize, usize, usize, usize, usize)> {
+        let mut grid = Vec::new();
+        for ow in [7, 8, 12, 16, 32] {
+            for samples in [1, 3, 32] {
+                grid.push((3, 6, ow, 5, 1, 2, samples));
+                grid.push((16, 5, ow, 3, 1, 1, samples));
+            }
+        }
+        grid
+    }
+
+    /// True when a `m`-row product over `patches` is a blocked forward
+    /// product whose panels are read in place.
+    fn reads_in_place(patches: &Patches<'_>, m: usize, trans: bool) -> bool {
+        let work = m * patches.rows() * patches.cols();
+        !trans && patches.rows_of_panels() && work >= SMALL_THRESHOLD
     }
 
     #[test]
     fn patch_operand_equals_gemm_ex_over_the_materialized_patches_bit_for_bit() {
         const { assert!(16 * 9 * 64 * 64 > KC * NC) };
         let mut rng = Rng::seed_from(12);
-        let (mut naive, mut blocked) = (false, false);
+        let (mut naive, mut blocked, mut in_place) = (false, false, false);
         for (c, h, w, k, stride, pad, samples) in patch_geometries() {
             let geom = crate::Conv2dGeometry::new(c, h, w, k, stride, pad);
             let x = Tensor::randn(Shape::d4(samples, c, h, w), &mut rng);
@@ -1254,6 +1502,7 @@ mod tests {
                         .collect();
                     naive |= m * kk * n < SMALL_THRESHOLD;
                     blocked |= m * kk * n >= SMALL_THRESHOLD;
+                    in_place |= reads_in_place(&patches, m, trans);
                     for acc in [false, true] {
                         let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
                         for (name, kernel) in kernels() {
@@ -1276,7 +1525,7 @@ mod tests {
                 }
             }
         }
-        assert!(naive && blocked, "both GEMM paths must run");
+        assert!(naive && blocked && in_place, "every GEMM path must run");
     }
 
     /// The `[C·k·k, samples·oh·ow]` patch matrix of `x`, element by
@@ -1318,6 +1567,7 @@ mod tests {
             }
         }
         let (mut naive, mut blocked, mut skipped) = (false, false, false);
+        let mut in_place = false;
         let skips = || crate::telem::gemm_skipped_flops().get();
         for (c, h, w, k, stride, pad, samples) in cases {
             let geom = crate::Conv2dGeometry::new(c, h, w, k, stride, pad);
@@ -1346,6 +1596,7 @@ mod tests {
                         .collect();
                     naive |= m * kk * n < SMALL_THRESHOLD;
                     blocked |= m * kk * n >= SMALL_THRESHOLD;
+                    in_place |= reads_in_place(&patches, m, false);
                     for acc in [false, true] {
                         let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01).collect();
                         for (name, kernel) in kernels() {
@@ -1370,7 +1621,10 @@ mod tests {
                 }
             }
         }
-        assert!(naive && blocked && skipped, "both paths must run, and skip");
+        assert!(
+            naive && blocked && in_place && skipped,
+            "every path must run, and skip"
+        );
     }
 
     /// FNV-1a over `gemm_ex` at the infer workload's conv shapes, in every

@@ -82,6 +82,46 @@ fn layer_masks_compact_to_parity() {
 }
 
 #[test]
+fn layer_masks_compact_to_parity_at_the_benchmark_shapes() {
+    // VGG-11 and AlexNet at width 0.5 on 3×32×32 inputs, as the infer
+    // benchmark runs them: stride-1 convs on 32-, 16- and 8-px maps read
+    // their patch panels in place, VGG's 4-px maps pack sample-major and,
+    // in the batch of 9, its 2-px maps pack position-major. Every conv
+    // site gets a seeded random keep set, and one site per net keeps a
+    // single map.
+    for (name, net) in [
+        (
+            "vgg11",
+            models::vgg11(3, 10, 32, 0.5, &mut Rng::seed_from(43)).unwrap(),
+        ),
+        (
+            "alexnet",
+            models::alexnet(3, 10, 32, 0.5, &mut Rng::seed_from(44)).unwrap(),
+        ),
+    ] {
+        let mut rng = Rng::seed_from(2000);
+        let mut masked = net;
+        let sites = conv_sites(&masked);
+        let single = rng.below(sites.len());
+        for (i, site) in sites.into_iter().enumerate() {
+            let c = masked.conv(site.conv).unwrap().out_channels();
+            let mask = if i == single {
+                let kept = rng.below(c);
+                (0..c).map(|j| if j == kept { 1.0 } else { 0.0 }).collect()
+            } else {
+                random_mask(c, &mut rng)
+            };
+            masked.set_channel_mask(site.mask_node, Some(mask));
+        }
+        let mut compacted = compact(&masked, 3, 32).expect(name).net;
+        for batch in [1, 9] {
+            let x = Tensor::randn(Shape::d4(batch, 3, 32, 32), &mut rng);
+            assert_parity(&mut masked, &mut compacted, &x, 1e-6);
+        }
+    }
+}
+
+#[test]
 fn inactive_blocks_compact_to_exact_parity() {
     // Block strategy: deactivating an identity-shortcut block makes its
     // forward the identity; compaction removes the node. The surviving
